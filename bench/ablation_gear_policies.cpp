@@ -15,6 +15,7 @@
 #include "harness.hpp"
 #include "model/gear_data.hpp"
 #include "model/tradeoff.hpp"
+#include "policy/slack_adaptive.hpp"
 #include "util/table.hpp"
 #include "workloads/registry.hpp"
 
@@ -52,8 +53,7 @@ int run(bench::BenchContext& ctx) {
     cluster::CommDownshift downshift(0, slowest);
     cluster::PerRankGear planned = cluster::plan_node_bottleneck(
         runner.run(*workload, nodes, 0), slowdowns, /*safety=*/0.9);
-    cluster::SlackAdaptive adaptive(cluster::SlackAdaptive::Params{},
-                                    nodes);
+    policy::SlackAdaptive adaptive(policy::SlackAdaptive::Params{}, nodes);
 
     const cluster::RunResult base = sweep.front();
     const std::vector<cluster::GearPolicy*> policies = {

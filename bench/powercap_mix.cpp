@@ -1,9 +1,10 @@
 // Multi-tenant power-cap mix (the production-mode companion to
 // powercap_scheduling).
 //
-// powercap_scheduling sweeps the cap over the paper's single-tenant
-// greedy scheduler, where every job's (nodes, gear) is frozen at
-// placement.  This bench runs the same rack in *batch* mode: a 12-job
+// powercap_scheduling sweeps the cap over a 3-job queue that all arrives
+// at once, on the scheduler's frozen arm, where every job's (nodes,
+// gear) is fixed at placement.  This bench runs the same rack in *batch*
+// mode: a 12-job
 // LoadLeveler-style queue with mixed energy-policy tags arrives over
 // five minutes, a two-node outage hits mid-run, and the GearArbiter
 // re-assigns gears at every event so a finished or crashed job's power

@@ -14,6 +14,8 @@
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "exec/result_cache.hpp"
 #include "exec/sweep_runner.hpp"
@@ -65,10 +67,25 @@ int run(bench::BenchContext& ctx) {
   const sched::WorkloadProfile lu_g1 = restrict_to_gear_one(lu_p);
   const sched::WorkloadProfile ep_g1 = restrict_to_gear_one(ep_p);
 
-  const std::vector<sched::Job> scalable_queue = {
-      {"cg", &cg_p}, {"lu", &lu_p}, {"ep", &ep_p}};
-  const std::vector<sched::Job> fixed_queue = {
-      {"cg", &cg_g1}, {"lu", &lu_g1}, {"ep", &ep_g1}};
+  // Every job may span the whole rack, arrives at t=0 and has no wall
+  // limit; its tag is the objective the frozen arm places it by.
+  using Queue =
+      std::vector<std::pair<const char*, const sched::WorkloadProfile*>>;
+  const Queue scalable = {{"cg", &cg_p}, {"lu", &lu_p}, {"ep", &ep_p}};
+  const Queue fixed_gear = {{"cg", &cg_g1}, {"lu", &lu_g1}, {"ep", &ep_g1}};
+  const int rack_nodes = 10;
+  const auto jobs_tagged = [rack_nodes](const Queue& queue,
+                                        sched::EnergyPolicyTag tag) {
+    std::vector<sched::BatchJob> jobs;
+    for (const auto& [id, profile] : queue) {
+      sched::JobScript script;
+      script.id = id;
+      script.total_tasks = rack_nodes;
+      script.tag = tag;
+      jobs.push_back(sched::BatchJob{script, profile});
+    }
+    return jobs;
+  };
 
   std::cout << "=== Power-cap sweep: power-scalable vs fixed-gear rack ===\n"
             << "(10 nodes, min-time greedy scheduling, 3-job NAS queue; the rack\n idles at ~850 W, so caps below ~1000 W cannot even park it)\n\n";
@@ -85,26 +102,27 @@ int run(bench::BenchContext& ctx) {
   bool best_never_worse = true;
   bool saw_min_time_myopia = false;
   for (double cap : {1500.0, 1400.0, 1300.0, 1200.0, 1100.0, 1000.0}) {
-    const sched::Machine rack{10, watts(cap), watts(85.0)};
-    const auto fixed =
-        sched::Scheduler(rack, sched::WorkloadProfile::Objective::kMinTime,
-                         sched::QueueDiscipline::kGreedy)
-            .schedule(fixed_queue);
-    sched::ScheduleResult best{};
-    sched::ScheduleResult min_time_only{};
+    const sched::BatchScheduler scheduler(
+        sched::Machine{rack_nodes, watts(cap), watts(85.0)},
+        sched::BatchOptions{sched::QueueDiscipline::kGreedy,
+                            /*arbitrate=*/false});
+    const auto fixed = scheduler.schedule(jobs_tagged(
+        fixed_gear, sched::EnergyPolicyTag::kMinimizeTimeToSolution));
+    sched::BatchResult best{};
+    sched::BatchResult min_time_only{};
     std::string best_name;
-    for (const auto objective : {sched::WorkloadProfile::Objective::kMinTime,
-                                 sched::WorkloadProfile::Objective::kMinEdp,
-                                 sched::WorkloadProfile::Objective::kMinEnergy}) {
-      const auto r =
-          sched::Scheduler(rack, objective, sched::QueueDiscipline::kGreedy)
-              .schedule(scalable_queue);
-      if (objective == sched::WorkloadProfile::Objective::kMinTime) {
+    const std::pair<const char*, sched::EnergyPolicyTag> objectives[] = {
+        {"min-time", sched::EnergyPolicyTag::kMinimizeTimeToSolution},
+        {"min-EDP", sched::EnergyPolicyTag::kMinimizeEdp},
+        {"min-energy", sched::EnergyPolicyTag::kMinimizeEnergyToSolution}};
+    for (const auto& [name, tag] : objectives) {
+      const auto r = scheduler.schedule(jobs_tagged(scalable, tag));
+      if (tag == sched::EnergyPolicyTag::kMinimizeTimeToSolution) {
         min_time_only = r;
       }
       if (best_name.empty() || r.makespan < best.makespan) {
         best = r;
-        best_name = to_string(objective);
+        best_name = name;
       }
     }
     // The operator of a scalable rack can always fall back to gear-1-only

@@ -2,17 +2,20 @@
 //
 //   $ autoshift [workload] [nodes]        (default: CG 8)
 //
-// Compares three ways of running the same program:
+// Compares four ways of running the same program:
 //   1. uniform fastest gear (the "performance-at-all-costs" baseline),
 //   2. comm-downshift: an MPI runtime that parks a blocked rank at the
 //      slowest gear and pays the DVFS transition both ways,
 //   3. a node-bottleneck plan: per-rank static gears harvested from a
-//      profile run's load imbalance.
+//      profile run's load imbalance,
+//   4. slack-adaptive: an online controller that steps each rank's gear
+//      by its share of time blocked in MPI.
 #include <iostream>
 #include <string>
 
 #include "cluster/dvfs.hpp"
 #include "model/gear_data.hpp"
+#include "policy/slack_adaptive.hpp"
 #include "util/table.hpp"
 #include "workloads/registry.hpp"
 
@@ -40,7 +43,7 @@ int main(int argc, char** argv) {
 
   cluster::UniformGear baseline(0);
   cluster::CommDownshift downshift(0, slowest);
-  cluster::SlackAdaptive adaptive(cluster::SlackAdaptive::Params{}, nodes);
+  policy::SlackAdaptive adaptive(policy::SlackAdaptive::Params{}, nodes);
   cluster::PerRankGear planned = plan;  // mutable copy: policies may carry state
 
   std::cout << "Automatic DVFS for " << name << " on " << nodes

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "cluster/workload.hpp"
 #include "util/assert.hpp"
 
 namespace gearsim::cluster {
@@ -41,76 +40,6 @@ std::string CommDownshift::name() const {
 std::string CommDownshift::signature() const {
   return "comm-downshift{compute=" + std::to_string(compute_) +
          ",comm=" + std::to_string(comm_) + "}";
-}
-
-SlackAdaptive::SlackAdaptive(Params params, int nprocs) : params_(params) {
-  GEARSIM_REQUIRE(params_.lo >= 0.0 && params_.lo < params_.hi &&
-                      params_.hi <= 1.0,
-                  "thresholds must satisfy 0 <= lo < hi <= 1");
-  GEARSIM_REQUIRE(params_.window >= 1, "window must be positive");
-  GEARSIM_REQUIRE(params_.initial_gear <= params_.slowest_gear,
-                  "initial gear beyond the slowest allowed");
-  begin_run(nprocs);
-}
-
-std::string SlackAdaptive::signature() const {
-  return "slack-adaptive{initial=" + std::to_string(params_.initial_gear) +
-         ",hi=" + sig_value(params_.hi) + ",lo=" + sig_value(params_.lo) +
-         ",window=" + std::to_string(params_.window) +
-         ",slowest=" + std::to_string(params_.slowest_gear) + "}";
-}
-
-void SlackAdaptive::begin_run(int nprocs) {
-  GEARSIM_REQUIRE(nprocs >= 1, "need at least one rank");
-  state_.assign(static_cast<std::size_t>(nprocs),
-                RankState{params_.initial_gear, Seconds{}, Seconds{}, 0,
-                          false});
-}
-
-std::size_t SlackAdaptive::compute_gear(int rank) const {
-  GEARSIM_REQUIRE(rank >= 0 && static_cast<std::size_t>(rank) < state_.size(),
-                  "rank out of range");
-  return state_[rank].gear;
-}
-
-std::size_t SlackAdaptive::comm_gear(int rank) const {
-  return compute_gear(rank);
-}
-
-void SlackAdaptive::on_blocking_enter(int rank, mpi::CallType, Bytes,
-                                      Seconds now) {
-  RankState& s = state_[rank];
-  if (!s.started) {
-    s.started = true;
-    s.window_start = now;
-  }
-}
-
-void SlackAdaptive::on_blocking_exit(int rank, mpi::CallType, Bytes,
-                                     Seconds now, Seconds waited) {
-  RankState& s = state_[rank];
-  if (!s.started) return;
-  s.blocked += waited;
-  if (++s.intervals < params_.window) return;
-  const Seconds elapsed = now - s.window_start;
-  if (elapsed.value() > 0.0) {
-    const double blocked_share = s.blocked / elapsed;
-    if (blocked_share > params_.hi && s.gear < params_.slowest_gear) {
-      ++s.gear;  // Plenty of slack: step down.
-    } else if (blocked_share < params_.lo && s.gear > 0) {
-      --s.gear;  // Became the bottleneck: step back up.
-    }
-  }
-  s.window_start = now;
-  s.blocked = Seconds{};
-  s.intervals = 0;
-}
-
-std::vector<std::size_t> SlackAdaptive::final_gears() const {
-  std::vector<std::size_t> gears;
-  gears.reserve(state_.size());
-  for (const auto& s : state_) gears.push_back(s.gear);
-  return gears;
 }
 
 PerRankGear plan_node_bottleneck(const RunResult& profile,

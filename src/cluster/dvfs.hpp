@@ -15,10 +15,10 @@
 //    latency both ways (the naive ancestor of Jitter/Adagio-style
 //    runtimes).
 //
-// The *adaptive online* controllers that close future work #3 for real —
-// timeout-filtered downshift and per-iteration slack reclamation — live
-// in src/policy/ (see docs/POLICIES.md); they plug into the same
-// GearPolicy surface defined here.
+// The *adaptive online* controllers — the naive blocked-share
+// SlackAdaptive, timeout-filtered downshift and per-iteration slack
+// reclamation — live in src/policy/ (see docs/POLICIES.md); they plug
+// into the same GearPolicy surface defined here.
 #pragma once
 
 #include <cstddef>
@@ -215,78 +215,5 @@ class CommDownshiftFactory final : public PolicyFactory {
 PerRankGear plan_node_bottleneck(const RunResult& profile,
                                  std::span<const double> gear_slowdowns,
                                  double safety = 1.0);
-
-/// Online feedback controller (the dynamic form of future work #2, and
-/// the ancestor of the Jitter/Adagio runtimes): each rank tracks the
-/// fraction of recent wall time it spent blocked in MPI, and steps its
-/// *compute* gear down when the blocked share stays above `hi` (it has
-/// slack to burn) or back up when it falls below `lo` (it has become the
-/// bottleneck).  Decisions are per rank and per observation window, so
-/// different ranks converge to different gears on imbalanced runs.
-///
-/// Kept as the naive baseline the src/policy controllers improve on: its
-/// absolute blocked-share feedback cannot distinguish "I have slack"
-/// from "everyone is waiting together" (the SP/BT pathology documented
-/// in bench/ablation_gear_policies).
-class SlackAdaptive final : public GearPolicy {
- public:
-  struct Params {
-    std::size_t initial_gear = 0;
-    /// Blocked-share thresholds for stepping down / up.
-    double hi = 0.25;
-    double lo = 0.05;
-    /// Blocking intervals per observation window.
-    int window = 16;
-    /// Never shift slower than this gear (0-based).
-    std::size_t slowest_gear = 5;
-  };
-
-  explicit SlackAdaptive(Params params, int nprocs);
-
-  [[nodiscard]] std::string name() const override { return "slack-adaptive"; }
-  [[nodiscard]] std::string signature() const override;
-  [[nodiscard]] std::size_t compute_gear(int rank) const override;
-  [[nodiscard]] std::size_t comm_gear(int rank) const override;
-  /// The driver must be installed so the controller sees blocking calls;
-  /// comm_gear == compute_gear except it *re-evaluates* on each exit.
-  [[nodiscard]] bool shifts_during_comm() const override { return true; }
-
-  void begin_run(int nprocs) override;
-  void on_blocking_enter(int rank, mpi::CallType type, Bytes bytes,
-                         Seconds now) override;
-  void on_blocking_exit(int rank, mpi::CallType type, Bytes bytes,
-                        Seconds now, Seconds waited) override;
-
-  /// Final per-rank gears after the run (for reporting/tests).
-  [[nodiscard]] std::vector<std::size_t> final_gears() const;
-
- private:
-  struct RankState {
-    std::size_t gear;
-    Seconds window_start{};
-    Seconds blocked{};
-    int intervals = 0;
-    bool started = false;
-  };
-
-  Params params_;
-  std::vector<RankState> state_;
-};
-
-class SlackAdaptiveFactory final : public PolicyFactory {
- public:
-  explicit SlackAdaptiveFactory(SlackAdaptive::Params params)
-      : params_(params) {}
-  [[nodiscard]] std::string signature() const override {
-    return SlackAdaptive(params_, 1).signature();
-  }
-  [[nodiscard]] std::unique_ptr<GearPolicy> instantiate(
-      int nprocs) const override {
-    return std::make_unique<SlackAdaptive>(params_, nprocs);
-  }
-
- private:
-  SlackAdaptive::Params params_;
-};
 
 }  // namespace gearsim::cluster

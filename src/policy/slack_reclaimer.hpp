@@ -11,8 +11,9 @@
 // performance-loss budget.  The rank with (almost) no slack — the
 // critical path — is pinned at the fastest gear.
 //
-// Where the naive cluster::SlackAdaptive reacts to the *share* of time
-// spent blocked (and so mistakes lockstep waiting for slack),
+// Where the naive SlackAdaptive (policy/slack_adaptive.hpp) reacts to
+// the *share* of time spent blocked (and so mistakes lockstep waiting
+// for slack),
 // SlackReclaimer budgets in absolute seconds against the gear ladder:
 // a gear is only taken when `extra active time <= safety * measured
 // slack`, so symmetric codes where everyone waits together stay fast.

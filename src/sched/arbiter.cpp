@@ -9,10 +9,21 @@ namespace gearsim::sched {
 int headroom_priority(EnergyPolicyTag tag) {
   switch (tag) {
     case EnergyPolicyTag::kMinimizeTimeToSolution: return 0;
-    case EnergyPolicyTag::kNone: return 1;
+    case EnergyPolicyTag::kNone:
+    case EnergyPolicyTag::kMinimizeEdp: return 1;
     case EnergyPolicyTag::kMinimizeEnergyToSolution: return 2;
   }
   return 1;
+}
+
+double objective_score(EnergyPolicyTag tag, const ConfigPoint& p) {
+  switch (tag) {
+    case EnergyPolicyTag::kMinimizeEnergyToSolution: return p.energy.value();
+    case EnergyPolicyTag::kMinimizeEdp: return p.edp();
+    case EnergyPolicyTag::kMinimizeTimeToSolution:
+    case EnergyPolicyTag::kNone: return p.time.value();
+  }
+  return p.time.value();
 }
 
 GearArbiter::GearArbiter(Watts power_cap, Watts idle_node_power)
@@ -51,15 +62,14 @@ std::optional<ArbiterOutcome> GearArbiter::arbitrate(
                         std::to_string(job.nodes));
     c.rung = c.ladder.size() - 1;  // Lowest power.
     c.priority = headroom_priority(job.tag);
-    if (job.tag == EnergyPolicyTag::kMinimizeEnergyToSolution) {
-      // Never climb past the energy-optimal rung (ties break faster).
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < c.ladder.size(); ++i) {
-        if (c.ladder[i].energy < c.ladder[best].energy) best = i;
+    // Never climb past the tag's optimal rung (ties break faster).  Time
+    // strictly rises along the ladder, so for time and untagged jobs
+    // this is the fastest rung.
+    for (std::size_t i = 1; i < c.ladder.size(); ++i) {
+      if (objective_score(job.tag, c.ladder[i]) <
+          objective_score(job.tag, c.ladder[c.ceiling])) {
+        c.ceiling = i;
       }
-      c.ceiling = best;
-      // The energy optimum may sit below the lowest-power rung start.
-      if (c.rung < c.ceiling) c.rung = c.ceiling;
     }
     climbers.push_back(std::move(c));
   }

@@ -15,11 +15,13 @@
 //     the budget, arbitration fails and the caller must not have placed
 //     the job);
 //  2. rounds of one-rung upshifts follow, each round visiting jobs in
-//     priority order — minimize_time_to_solution first, untagged next,
-//     minimize_energy_to_solution last — granting one rung wherever the
-//     budget allows;
-//  3. minimize_energy jobs never climb past their energy-optimal rung;
-//     the others climb toward the fastest;
+//     priority order — minimize_time_to_solution first, untagged and
+//     minimize_edp next, minimize_energy_to_solution last — granting one
+//     rung wherever the budget allows;
+//  3. no job climbs past the rung that minimizes its tag's
+//     objective_score: minimize_energy and minimize_edp jobs stop at
+//     their energy- and EDP-optimal rungs, the others climb toward the
+//     fastest;
 //  4. rounds repeat until a full round grants nothing.
 //
 // Round-robin rounds (rather than letting the first job climb to the
@@ -70,7 +72,14 @@ class GearArbiter {
   Watts idle_node_power_;
 };
 
-/// Priority class for headroom: lower wins (time 0, none 1, energy 2).
+/// Priority class for headroom: lower wins (time 0, none and EDP 1,
+/// energy 2).
 [[nodiscard]] int headroom_priority(EnergyPolicyTag tag);
+
+/// The quantity a job's tag minimizes, lower is better: energy for
+/// minimize_energy, energy x time for minimize_edp, time otherwise.  Both
+/// scheduler arms and the arbiter's ceiling rank points by it.
+[[nodiscard]] double objective_score(EnergyPolicyTag tag,
+                                     const ConfigPoint& p);
 
 }  // namespace gearsim::sched

@@ -1,6 +1,7 @@
 #include "sched/jobscript.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <optional>
 #include <sstream>
 
@@ -14,6 +15,8 @@ std::string to_string(EnergyPolicyTag tag) {
       return "minimize_time_to_solution";
     case EnergyPolicyTag::kMinimizeEnergyToSolution:
       return "minimize_energy_to_solution";
+    case EnergyPolicyTag::kMinimizeEdp:
+      return "minimize_edp";
     case EnergyPolicyTag::kNone:
       return "none";
   }
@@ -61,7 +64,8 @@ double parse_number(const std::string& key, const std::string& value) {
   } catch (const std::exception&) {
     throw ContractError("job script: bad " + key + " '" + value + "'");
   }
-  if (used != value.size()) {
+  // inf/nan parse but would wedge the scheduler's event loop.
+  if (used != value.size() || !std::isfinite(parsed)) {
     throw ContractError("job script: bad " + key + " '" + value + "'");
   }
   return parsed;
@@ -97,6 +101,10 @@ Seconds parse_wall_clock_limit(const std::string& text) {
                     "job script: negative wall_clock_limit '" + text + "'");
     total = total * 60.0 + v;
   }
+  // Finite fields can still overflow once scaled to seconds.
+  if (!std::isfinite(total)) {
+    throw ContractError("job script: bad wall_clock_limit '" + text + "'");
+  }
   return seconds(total);
 }
 
@@ -128,6 +136,8 @@ std::vector<JobScript> parse_job_scripts(const std::string& text) {
         job.tag = EnergyPolicyTag::kMinimizeTimeToSolution;
       } else if (tag == "minimize_energy_to_solution") {
         job.tag = EnergyPolicyTag::kMinimizeEnergyToSolution;
+      } else if (tag == "minimize_edp") {
+        job.tag = EnergyPolicyTag::kMinimizeEdp;
       } else {
         job.tag = EnergyPolicyTag::kNone;
       }

@@ -18,11 +18,13 @@
 //   #@ minimize_energy_to_solution = yes   -> kMinimizeEnergyToSolution
 //
 // `energy_policy_tag` may also name the policy directly
-// (`minimize_time_to_solution`, `minimize_energy_to_solution`, `none`).
-// Unknown `#@` keys (output, error, notification, class, island_count,
-// ...) are ignored, as are non-`#@` lines (the shell payload), so real
-// LoadLeveler scripts parse unmodified.  Malformed values and
-// contradictory minimize_* lines throw ContractError.
+// (`minimize_time_to_solution`, `minimize_energy_to_solution`,
+// `minimize_edp`, `none`); `minimize_edp` binds only that way — it has
+// no `#@ minimize_*` keyword line.  Unknown `#@` keys (output, error,
+// notification, class, island_count, ...) are ignored, as are non-`#@`
+// lines (the shell payload), so real LoadLeveler scripts parse
+// unmodified.  Malformed or non-finite values and contradictory
+// minimize_* lines throw ContractError.
 #pragma once
 
 #include <string>
@@ -39,6 +41,8 @@ enum class EnergyPolicyTag {
                               ///< the cap allows.
   kMinimizeEnergyToSolution,  ///< Holds its energy-optimal gear; never
                               ///< upshifts past it, yields headroom.
+  kMinimizeEdp,               ///< Holds its energy-delay-optimal gear;
+                              ///< untagged priority for headroom.
   kNone,                      ///< No policy: takes leftover headroom after
                               ///< the tagged jobs.
 };
@@ -67,7 +71,8 @@ struct JobScript {
 [[nodiscard]] JobScript parse_job_script(const std::string& text);
 
 /// Parse a LoadLeveler wall-clock limit: "HH:MM:SS", "MM:SS", or plain
-/// seconds.  Throws ContractError on malformed or negative input.
+/// seconds.  Throws ContractError on malformed, negative or non-finite
+/// input.
 [[nodiscard]] Seconds parse_wall_clock_limit(const std::string& text);
 
 }  // namespace gearsim::sched

@@ -53,29 +53,6 @@ WorkloadProfile WorkloadProfile::measure(const exec::SweepRunner& runner,
   return WorkloadProfile(workload.name(), std::move(points));
 }
 
-std::optional<ConfigPoint> WorkloadProfile::best(Objective objective,
-                                                 int max_free_nodes,
-                                                 Watts power_budget) const {
-  std::optional<ConfigPoint> winner;
-  auto score = [objective](const ConfigPoint& p) {
-    switch (objective) {
-      case Objective::kMinTime: return p.time.value();
-      case Objective::kMinEnergy: return p.energy.value();
-      case Objective::kMinEdp: return p.edp();
-    }
-    return p.time.value();
-  };
-  for (const auto& p : points_) {
-    if (p.nodes > max_free_nodes) continue;
-    if (p.mean_power() > power_budget) continue;
-    if (!winner || score(p) < score(*winner) ||
-        (score(p) == score(*winner) && p.nodes < winner->nodes)) {
-      winner = p;
-    }
-  }
-  return winner;
-}
-
 std::vector<ConfigPoint> WorkloadProfile::gear_frontier(int nodes) const {
   std::vector<ConfigPoint> at_width;
   for (const auto& p : points_) {
@@ -99,15 +76,6 @@ std::vector<ConfigPoint> WorkloadProfile::gear_frontier(int nodes) const {
     }
   }
   return frontier;
-}
-
-std::string to_string(WorkloadProfile::Objective o) {
-  switch (o) {
-    case WorkloadProfile::Objective::kMinTime: return "min-time";
-    case WorkloadProfile::Objective::kMinEnergy: return "min-energy";
-    case WorkloadProfile::Objective::kMinEdp: return "min-EDP";
-  }
-  return "?";
 }
 
 }  // namespace gearsim::sched

@@ -8,7 +8,6 @@
 // workload through the simulator once per configuration.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,15 +57,6 @@ class WorkloadProfile {
     return points_;
   }
 
-  /// The objective the scheduler optimizes when picking a configuration.
-  enum class Objective { kMinTime, kMinEnergy, kMinEdp };
-
-  /// Best configuration under the given resource constraints, or nullopt
-  /// if none fits.  Ties break toward fewer nodes (frees the machine).
-  [[nodiscard]] std::optional<ConfigPoint> best(Objective objective,
-                                                int max_free_nodes,
-                                                Watts power_budget) const;
-
   /// The Pareto-optimal gear ladder at one width: the points with
   /// exactly `nodes` nodes, fastest first, with every dominated point
   /// (slower and at least as power-hungry as a kept one) pruned — so
@@ -79,7 +69,5 @@ class WorkloadProfile {
   std::string name_;
   std::vector<ConfigPoint> points_;
 };
-
-[[nodiscard]] std::string to_string(WorkloadProfile::Objective o);
 
 }  // namespace gearsim::sched

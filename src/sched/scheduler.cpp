@@ -4,260 +4,12 @@
 #include <cmath>
 #include <limits>
 #include <list>
-#include <unordered_map>
+#include <optional>
 
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
 
 namespace gearsim::sched {
-
-const Placement& ScheduleResult::placement(const std::string& job_id) const {
-  const auto it = std::find_if(
-      placements.begin(), placements.end(),
-      [&job_id](const Placement& p) { return p.job_id == job_id; });
-  GEARSIM_REQUIRE(it != placements.end(), "no placement for job " + job_id);
-  return *it;
-}
-
-Scheduler::Scheduler(Machine machine, WorkloadProfile::Objective objective,
-                     QueueDiscipline discipline)
-    : machine_(machine), objective_(objective), discipline_(discipline) {
-  GEARSIM_REQUIRE(machine_.nodes >= 1, "machine needs nodes");
-  GEARSIM_REQUIRE(machine_.power_cap.value() > 0.0, "non-positive power cap");
-  GEARSIM_REQUIRE(machine_.idle_node_power.value() >= 0.0,
-                  "negative idle power");
-  GEARSIM_REQUIRE(
-      machine_.power_cap >=
-          static_cast<double>(machine_.nodes) * machine_.idle_node_power,
-      "the cap cannot even park the machine's nodes");
-}
-
-namespace {
-
-struct Running {
-  Seconds end{};
-  int nodes = 0;
-  Watts power{};
-  const Job* job = nullptr;
-  Seconds start{};
-};
-
-/// One change in machine capacity (outage: negative, repair: positive).
-struct CapacityEvent {
-  Seconds at{};
-  int delta = 0;
-};
-
-double objective_score(WorkloadProfile::Objective objective,
-                       const ConfigPoint& p) {
-  switch (objective) {
-    case WorkloadProfile::Objective::kMinTime: return p.time.value();
-    case WorkloadProfile::Objective::kMinEnergy: return p.energy.value();
-    case WorkloadProfile::Objective::kMinEdp: return p.edp();
-  }
-  return p.time.value();
-}
-
-}  // namespace
-
-ScheduleResult Scheduler::schedule(const std::vector<Job>& queue) const {
-  return schedule(queue, {});
-}
-
-ScheduleResult Scheduler::schedule(
-    const std::vector<Job>& queue,
-    const std::vector<NodeOutage>& outages) const {
-  for (const auto& job : queue) {
-    GEARSIM_REQUIRE(job.profile != nullptr, "job without a profile");
-  }
-  std::vector<CapacityEvent> cap_events;
-  for (const auto& outage : outages) {
-    GEARSIM_REQUIRE(outage.at.value() >= 0.0, "outage before time zero");
-    GEARSIM_REQUIRE(outage.nodes_lost >= 1 &&
-                        outage.nodes_lost <= machine_.nodes,
-                    "outage size outside the machine");
-    GEARSIM_REQUIRE(outage.repair_after.value() > 0.0,
-                    "repair must take positive time");
-    cap_events.push_back(CapacityEvent{outage.at, -outage.nodes_lost});
-    if (std::isfinite(outage.repair_after.value())) {
-      cap_events.push_back(
-          CapacityEvent{outage.at + outage.repair_after, outage.nodes_lost});
-    }
-  }
-  std::stable_sort(cap_events.begin(), cap_events.end(),
-                   [](const CapacityEvent& a, const CapacityEvent& b) {
-                     return a.at < b.at;
-                   });
-
-  // Pick the objective-best configuration that fits the free nodes and
-  // the power headroom; nodes left parked keep drawing idle power, so the
-  // budget depends on how many the candidate configuration occupies.
-  const auto choose = [this](const WorkloadProfile& profile, int free_nodes,
-                             Watts running_power) -> std::optional<ConfigPoint> {
-    std::optional<ConfigPoint> winner;
-    for (const auto& p : profile.points()) {
-      if (p.nodes > free_nodes) continue;
-      const Watts parked = static_cast<double>(free_nodes - p.nodes) *
-                           machine_.idle_node_power;
-      if (running_power + p.mean_power() + parked > machine_.power_cap) {
-        continue;
-      }
-      if (!winner || objective_score(objective_, p) <
-                         objective_score(objective_, *winner) ||
-          (objective_score(objective_, p) ==
-               objective_score(objective_, *winner) &&
-           p.nodes < winner->nodes)) {
-        winner = p;
-      }
-    }
-    return winner;
-  };
-
-  // Every job must be runnable on the empty machine.
-  for (const auto& job : queue) {
-    GEARSIM_REQUIRE(
-        choose(*job.profile, machine_.nodes, Watts{}).has_value(),
-        "job " + job.id + " cannot run on this machine at any configuration");
-  }
-
-  ScheduleResult result;
-  std::list<const Job*> pending;
-  std::unordered_map<const Job*, std::size_t> submit_index;
-  for (std::size_t i = 0; i < queue.size(); ++i) {
-    pending.push_back(&queue[i]);
-    submit_index.emplace(&queue[i], i);
-  }
-  std::vector<Running> running;
-  Seconds now{};
-
-  const auto running_power = [&running] {
-    Watts sum{};
-    for (const auto& r : running) sum += r.power;
-    return sum;
-  };
-  const auto busy_nodes = [&running] {
-    int sum = 0;
-    for (const auto& r : running) sum += r.nodes;
-    return sum;
-  };
-
-  int capacity = machine_.nodes;
-  std::size_t next_cap = 0;
-
-  while (!pending.empty() || !running.empty()) {
-    // Apply capacity changes due at `now`.
-    while (next_cap < cap_events.size() && cap_events[next_cap].at <= now) {
-      capacity += cap_events[next_cap].delta;
-      ++next_cap;
-    }
-    GEARSIM_ENSURE(capacity >= 0, "more nodes down than the machine has");
-
-    // An outage may have taken nodes out from under running jobs: kill
-    // youngest-started first (least sunk work), charge what they burned
-    // to wasted_energy, and put them back at the head of the queue in
-    // their original submission order.  Pushing each victim to the front
-    // as it dies would invert that order for multi-victim outages, so
-    // the batch is collected first and re-inserted back-to-front.
-    std::vector<const Job*> victims;
-    while (busy_nodes() > capacity) {
-      std::size_t victim = 0;
-      for (std::size_t i = 1; i < running.size(); ++i) {
-        if (running[i].start >= running[victim].start) victim = i;
-      }
-      const Running& r = running[victim];
-      result.wasted_energy += r.power * (now - r.start);
-      ++result.preemptions;
-      for (auto it = result.placements.rbegin(); it != result.placements.rend();
-           ++it) {
-        if (it->job_id == r.job->id && it->start == r.start) {
-          result.job_energy -= it->config.energy;
-          result.placements.erase(std::next(it).base());
-          break;
-        }
-      }
-      victims.push_back(r.job);
-      running.erase(running.begin() +
-                    static_cast<std::ptrdiff_t>(victim));
-    }
-    std::sort(victims.begin(), victims.end(),
-              [&submit_index](const Job* a, const Job* b) {
-                return submit_index.at(a) > submit_index.at(b);
-              });
-    for (const Job* v : victims) pending.push_front(v);
-
-    // Place what fits at `now`.
-    bool placed_any = true;
-    while (placed_any) {
-      placed_any = false;
-      for (auto it = pending.begin(); it != pending.end(); ++it) {
-        const Job& job = **it;
-        const int free_nodes = capacity - busy_nodes();
-        const auto config = choose(*job.profile, free_nodes, running_power());
-        if (config) {
-          running.push_back(Running{now + config->time, config->nodes,
-                                    config->mean_power(), &job, now});
-          result.placements.push_back(
-              Placement{job.id, *config, now, now + config->time});
-          result.job_energy += config->energy;
-          pending.erase(it);
-          placed_any = true;
-          break;  // Restart the scan with updated state.
-        }
-        if (discipline_ == QueueDiscipline::kFifo) break;  // Head must wait.
-      }
-    }
-
-    if (running.empty()) {
-      if (pending.empty()) break;
-      // Nothing running and nothing placeable.  If capacity will change
-      // again (a repair, or even a further outage before one), wait for
-      // it with the surviving nodes parked; otherwise the queue can never
-      // drain — with every job pre-checked against the empty machine this
-      // only happens under an unrepaired outage.
-      GEARSIM_ENSURE(next_cap < cap_events.size(),
-                     "scheduler wedged with pending jobs");
-      const Seconds t_next = cap_events[next_cap].at;
-      const Watts draw = static_cast<double>(capacity) *
-                         machine_.idle_node_power;
-      result.peak_power = std::max(result.peak_power, draw);
-      result.idle_energy += draw * (t_next - now);
-      now = t_next;
-      continue;
-    }
-
-    // Track the draw of the interval we are about to cross (placements
-    // are in; completions have not happened yet).  Down nodes draw
-    // nothing; only the surviving-but-unused ones are parked.
-    const int parked = capacity - busy_nodes();
-    const Watts draw =
-        running_power() +
-        static_cast<double>(parked) * machine_.idle_node_power;
-    result.peak_power = std::max(result.peak_power, draw);
-
-    // Advance to the next completion or capacity change, integrating
-    // parked-node energy over the interval with the parked count that
-    // held *during* it.
-    const auto next = std::min_element(
-        running.begin(), running.end(),
-        [](const Running& a, const Running& b) { return a.end < b.end; });
-    Seconds t_next = next->end;
-    if (next_cap < cap_events.size() && cap_events[next_cap].at < t_next) {
-      t_next = cap_events[next_cap].at;
-    }
-    result.idle_energy += static_cast<double>(parked) *
-                          machine_.idle_node_power * (t_next - now);
-    now = t_next;
-    running.erase(
-        std::remove_if(running.begin(), running.end(),
-                       [now](const Running& r) { return r.end <= now; }),
-        running.end());
-  }
-
-  result.makespan = now;
-  return result;
-}
-
-// --- multi-tenant event-driven mode ------------------------------------
 
 const BatchPlacement& BatchResult::placement(const std::string& job_id) const {
   const auto it = std::find_if(
@@ -283,6 +35,12 @@ BatchScheduler::BatchScheduler(Machine machine, BatchOptions options)
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// One change in machine capacity (outage: negative, repair: positive).
+struct CapacityEvent {
+  Seconds at{};
+  int delta = 0;
+};
 
 /// One job on the machine.  `gear` is the live frontier point; `end` is
 /// the projected completion at that gear and is recomputed whenever the
@@ -321,6 +79,8 @@ BatchResult BatchScheduler::schedule(const std::vector<BatchJob>& jobs,
                     "job " + job.script.id + " requests no tasks");
     GEARSIM_REQUIRE(job.script.arrival.value() >= 0.0,
                     "job " + job.script.id + " arrives before time zero");
+    GEARSIM_REQUIRE(std::isfinite(job.script.arrival.value()),
+                    "job " + job.script.id + " never arrives");
     GEARSIM_REQUIRE(job.script.wall_clock_limit.value() >= 0.0,
                     "job " + job.script.id + " has a negative wall limit");
     GEARSIM_REQUIRE(std::find(seen_ids.begin(), seen_ids.end(),
@@ -413,12 +173,10 @@ BatchResult BatchScheduler::schedule(const std::vector<BatchJob>& jobs,
       }
       floor += ladder.back().mean_power();
       if (floor > budget) continue;
-      double score;
-      if (job.script.tag == EnergyPolicyTag::kMinimizeEnergyToSolution) {
-        score = kInf;
-        for (const auto& p : ladder) score = std::min(score, p.energy.value());
-      } else {
-        score = ladder.front().time.value();
+      // The width's best reachable score: the arbiter may grant any rung.
+      double score = kInf;
+      for (const auto& p : ladder) {
+        score = std::min(score, objective_score(job.script.tag, p));
       }
       if (!winner || score < winner_score ||
           (score == winner_score && w < winner->nodes)) {
@@ -429,10 +187,12 @@ BatchResult BatchScheduler::schedule(const std::vector<BatchJob>& jobs,
     return winner;
   };
 
-  // Admission with arbitration off picks an exact (width, gear) point
-  // that fits under the cap next to the *frozen* draw of everything
-  // running — the single-tenant scheduler's rule, with the job's tag as
-  // the objective and its wall limit as a hard filter.
+  // Admission with arbitration off picks the exact (width, gear) point
+  // with the best objective_score that fits under the cap next to the
+  // *frozen* draw of everything running, with the job's wall limit as a
+  // hard filter.  Nodes left parked keep drawing idle power, so the
+  // budget depends on how many the candidate occupies; ties break
+  // toward fewer nodes (frees the machine).
   const auto choose_frozen = [&](const BatchJob& job,
                                  int capacity) -> std::optional<ConfigPoint> {
     const Seconds limit = wall_limit(job);
@@ -440,6 +200,7 @@ BatchResult BatchScheduler::schedule(const std::vector<BatchJob>& jobs,
     const int cap_width = std::min(job.script.total_tasks, machine_.nodes);
     const Watts draw = jobs_draw();
     std::optional<ConfigPoint> winner;
+    double winner_score = 0.0;
     for (const auto& p : job.profile->points()) {
       if (p.nodes > cap_width || p.nodes > capacity - busy) continue;
       if (p.time > limit) continue;
@@ -447,19 +208,11 @@ BatchResult BatchScheduler::schedule(const std::vector<BatchJob>& jobs,
           static_cast<double>(capacity - busy - p.nodes) *
           machine_.idle_node_power;
       if (draw + p.mean_power() + parked > machine_.power_cap) continue;
-      const double score =
-          job.script.tag == EnergyPolicyTag::kMinimizeEnergyToSolution
-              ? p.energy.value()
-              : p.time.value();
-      const double best =
-          winner ? (job.script.tag ==
-                            EnergyPolicyTag::kMinimizeEnergyToSolution
-                        ? winner->energy.value()
-                        : winner->time.value())
-                 : 0.0;
-      if (!winner || score < best ||
-          (score == best && p.nodes < winner->nodes)) {
+      const double score = objective_score(job.script.tag, p);
+      if (!winner || score < winner_score ||
+          (score == winner_score && p.nodes < winner->nodes)) {
         winner = p;
+        winner_score = score;
       }
     }
     return winner;
@@ -502,7 +255,8 @@ BatchResult BatchScheduler::schedule(const std::vector<BatchJob>& jobs,
   };
 
   // Victims killed at one event re-enter at the front of the queue in
-  // their original submission order (the single-tenant rule).
+  // their original submission order.  Pushing each to the front as it
+  // dies would invert that order for multi-victim outages.
   const auto requeue = [&pending](std::vector<PendingBatch> victims) {
     std::sort(victims.begin(), victims.end(),
               [](const PendingBatch& a, const PendingBatch& b) {
@@ -611,9 +365,11 @@ BatchResult BatchScheduler::schedule(const std::vector<BatchJob>& jobs,
     // event.  A repair can make even the all-lowest-rung assignment
     // infeasible (the returning nodes' idle draw shrinks the budget);
     // jobs are then evicted youngest-first until the survivors fit.
-    if (options_.arbitrate && !running.empty()) {
-      std::vector<PendingBatch> evicted;
-      for (;;) {
+    // Frozen gears cannot absorb that draw at all; the frozen arm keeps
+    // the cap invariant by evicting youngest-started jobs instead.
+    std::vector<PendingBatch> evicted;
+    if (options_.arbitrate) {
+      while (!running.empty()) {
         std::vector<ArbiterJob> arb_jobs;
         arb_jobs.reserve(running.size());
         for (const auto& r : running) {
@@ -640,20 +396,16 @@ BatchResult BatchScheduler::schedule(const std::vector<BatchJob>& jobs,
           break;
         }
         evicted.push_back(kill_youngest());
-        if (running.empty()) break;
       }
-      requeue(std::move(evicted));
-    } else if (!options_.arbitrate) {
-      // Frozen gears cannot absorb a repair's returning idle draw; keep
-      // the cap invariant by evicting youngest-started jobs instead.
-      std::vector<PendingBatch> evicted;
+    } else {
       while (jobs_draw() + static_cast<double>(capacity - busy_nodes()) *
                                machine_.idle_node_power >
              machine_.power_cap) {
         evicted.push_back(kill_youngest());
       }
-      requeue(std::move(evicted));
     }
+    const bool evicted_any = !evicted.empty();
+    requeue(std::move(evicted));
 
     // 8. Sample the draw this event leaves behind.  The cap is a hard
     // invariant in both modes; the epsilon only absorbs the re-ordered
@@ -689,6 +441,10 @@ BatchResult BatchScheduler::schedule(const std::vector<BatchJob>& jobs,
       t_next = std::min(t_next, r.end);
       t_next = std::min(t_next, r.deadline);
     }
+    // Evictions can empty the machine with nothing left to wait for;
+    // the victims then retry placement on it at the same instant (a
+    // placement never forces an eviction, so this cannot repeat).
+    if (!std::isfinite(t_next.value()) && evicted_any) continue;
     GEARSIM_ENSURE(std::isfinite(t_next.value()),
                    "batch scheduler wedged with pending jobs");
     const Seconds dt = t_next - now;

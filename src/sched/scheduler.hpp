@@ -3,32 +3,30 @@
 //
 // "We believe in the future a given supercomputer cluster will be
 // restricted to a certain amount of power consumption or heat
-// dissipation" (paper, Section 3.2).  Two schedulers make that scenario
-// concrete:
+// dissipation" (paper, Section 3.2).  BatchScheduler makes that scenario
+// concrete: jobs are LoadLeveler-style scripts (sched/jobscript.hpp)
+// with arrival times, wall limits and per-job energy policy tags, and
+// the sum of running jobs' draw plus the idle draw of parked nodes never
+// exceeds the site cap.  It runs in one of two arms (BatchOptions):
 //
-//  * Scheduler — the single-tenant seed: every placement picks a
-//    (nodes, gear) configuration from the job's profile, the
-//    configuration is frozen for the run, and the sum of running jobs'
-//    draw (plus the idle draw of parked nodes) never exceeds the cap.
-//    Matching the paper's uniform-gear runs.
+//  * arbitrated (default) — placement fixes only the *width*, and a
+//    GearArbiter (sched/arbiter.hpp) re-assigns every running job's gear
+//    at every event — arrival, completion, outage, repair, wall-limit
+//    kill — so a finished or crashed job's power budget is redistributed
+//    to the survivors instead of parked;
+//  * frozen — placement picks a (nodes, gear) point that minimizes the
+//    job's objective_score and the point holds for the whole run, as in
+//    the paper's uniform-gear runs.
 //
-//  * BatchScheduler — the multi-tenant production mode: jobs are
-//    LoadLeveler-style scripts (sched/jobscript.hpp) with arrival
-//    times, wall limits and per-job energy policy tags; placement fixes
-//    only the *width*, and a GearArbiter (sched/arbiter.hpp)
-//    re-assigns every running job's gear at every event — arrival,
-//    completion, outage, repair, wall-limit kill — so a finished or
-//    crashed job's power budget is redistributed to the survivors
-//    instead of parked.  See docs/SCHEDULER.md.
-//
-// Two queue disciplines, shared by both:
+// Two queue disciplines, shared by both arms:
 //  * kFifo  — strict order: the head job waits until it fits; and
 //  * kGreedy — backfill: any queued job that fits may start (can starve
 //    wide jobs; compared in tests and the example).
 //
-// Both schedulers are pure functions of their inputs: reruns are
-// byte-identical, and the instantaneous-draw-under-cap invariant is
-// sampled at every event boundary (tested in tests/sched_test.cpp).
+// schedule() is a pure function of its inputs: reruns are byte-identical,
+// and the instantaneous-draw-under-cap invariant is sampled at every
+// event boundary (tested in tests/sched_test.cpp).  See
+// docs/SCHEDULER.md.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +43,6 @@ class MetricsRegistry;  // obs/metrics.hpp
 }
 
 namespace gearsim::sched {
-
-struct Job {
-  std::string id;
-  const WorkloadProfile* profile = nullptr;  ///< Must outlive the schedule.
-};
 
 struct Machine {
   int nodes = 10;
@@ -71,57 +64,6 @@ struct NodeOutage {
   Seconds repair_after = seconds(std::numeric_limits<double>::infinity());
 };
 
-struct Placement {
-  std::string job_id;
-  ConfigPoint config;
-  Seconds start{};
-  Seconds end{};
-};
-
-struct ScheduleResult {
-  std::vector<Placement> placements;  ///< In start order; killed runs removed.
-  Seconds makespan{};
-  Joules job_energy{};    ///< Energy of the jobs themselves.
-  Joules idle_energy{};   ///< Energy of parked nodes while the queue drains.
-  Watts peak_power{};     ///< Max instantaneous draw (jobs + parked nodes).
-  int preemptions = 0;    ///< Jobs killed by node outages (then re-queued).
-  Joules wasted_energy{}; ///< Energy burned by killed runs before the kill.
-
-  [[nodiscard]] Joules total_energy() const { return job_energy + idle_energy; }
-  [[nodiscard]] const Placement& placement(const std::string& job_id) const;
-};
-
-class Scheduler {
- public:
-  explicit Scheduler(Machine machine,
-                     WorkloadProfile::Objective objective =
-                         WorkloadProfile::Objective::kMinTime,
-                     QueueDiscipline discipline = QueueDiscipline::kFifo);
-
-  /// Schedule `queue` (in order) onto the machine.  Throws ContractError
-  /// if some job cannot run on this machine at any configuration even
-  /// when it is empty.
-  [[nodiscard]] ScheduleResult schedule(const std::vector<Job>& queue) const;
-
-  /// Same, with node outages: capacity drops at each outage and jobs
-  /// holding lost nodes are killed (youngest-started first — they have
-  /// the least sunk work) and re-queued at the front.  Throws if the
-  /// queue can never drain (outage with no repair leaves a job unfit).
-  /// With no outages this is exactly the overload above.
-  [[nodiscard]] ScheduleResult schedule(
-      const std::vector<Job>& queue,
-      const std::vector<NodeOutage>& outages) const;
-
-  [[nodiscard]] const Machine& machine() const { return machine_; }
-
- private:
-  Machine machine_;
-  WorkloadProfile::Objective objective_;
-  QueueDiscipline discipline_;
-};
-
-// --- multi-tenant event-driven mode ------------------------------------
-
 /// One submitted job: the parsed script plus the measured profile of its
 /// workload (see WorkloadProfile::measure; widths above
 /// min(script.total_tasks, machine nodes) are never used).
@@ -132,10 +74,11 @@ struct BatchJob {
 
 struct BatchOptions {
   QueueDiscipline discipline = QueueDiscipline::kFifo;
-  /// When false, every job keeps its placement gear for its whole run
-  /// and a finished or crashed job's budget stays parked — the
-  /// no-redistribution control arm the benches and tests compare
-  /// against.  Placement and the cap invariant are unchanged.
+  /// When false, every job keeps its placement point for its whole run
+  /// and a finished or crashed job's budget stays parked — the frozen,
+  /// no-redistribution arm.  Placement then picks the (nodes, gear)
+  /// point with the best objective_score for the job's tag that fits
+  /// next to the running jobs' draw.  The cap invariant is unchanged.
   bool arbitrate = true;
 };
 

@@ -2,7 +2,6 @@
 // static plans, comm downshift, and the node-bottleneck planner.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -187,148 +186,6 @@ TEST(BottleneckPlanner, EndToEndSavesEnergyOnImbalancedRun) {
   const RunResult planned = runner.run(*lu, 8, options);
   EXPECT_LT(planned.energy.value(), profile.energy.value());
   EXPECT_LT(planned.wall / profile.wall, 1.06);
-}
-
-// --- slack-adaptive controller (dynamic future work #2) ----------------------------
-
-TEST(SlackAdaptive, ValidatesParams) {
-  SlackAdaptive::Params p;
-  p.lo = 0.5;
-  p.hi = 0.2;
-  EXPECT_THROW(SlackAdaptive(p, 4), ContractError);
-  p = SlackAdaptive::Params{};
-  p.window = 0;
-  EXPECT_THROW(SlackAdaptive(p, 4), ContractError);
-  p = SlackAdaptive::Params{};
-  p.initial_gear = 6;
-  EXPECT_THROW(SlackAdaptive(p, 4), ContractError);
-  EXPECT_THROW(SlackAdaptive(SlackAdaptive::Params{}, 0), ContractError);
-}
-
-TEST(SlackAdaptive, StepsDownUnderSustainedSlack) {
-  SlackAdaptive::Params p;
-  p.window = 4;
-  SlackAdaptive ctl(p, 1);
-  // 50% blocked share across each window: should step down once per
-  // window until the slowest gear.
-  double t = 0.0;
-  for (int w = 0; w < 8; ++w) {
-    for (int i = 0; i < 4; ++i) {
-      ctl.on_blocking_enter(0, mpi::CallType::kAllreduce, 0, seconds(t));
-      t += 0.5;
-      ctl.on_blocking_exit(0, mpi::CallType::kAllreduce, 0, seconds(t),
-                           seconds(0.5));
-      t += 0.5;
-    }
-  }
-  EXPECT_EQ(ctl.compute_gear(0), 5u);  // Hit the floor after >= 5 windows.
-}
-
-TEST(SlackAdaptive, StepsBackUpWhenSlackDisappears) {
-  SlackAdaptive::Params p;
-  p.window = 2;
-  p.initial_gear = 3;
-  SlackAdaptive ctl(p, 1);
-  // Negligible blocking: controller should climb back to gear 1.
-  double t = 0.0;
-  for (int w = 0; w < 6; ++w) {
-    for (int i = 0; i < 2; ++i) {
-      ctl.on_blocking_enter(0, mpi::CallType::kAllreduce, 0, seconds(t));
-      t += 0.001;
-      ctl.on_blocking_exit(0, mpi::CallType::kAllreduce, 0, seconds(t),
-                           seconds(0.001));
-      t += 1.0;
-    }
-  }
-  EXPECT_EQ(ctl.compute_gear(0), 0u);
-}
-
-TEST(SlackAdaptive, HoldsSteadyInTheDeadband) {
-  SlackAdaptive::Params p;
-  p.window = 2;
-  p.initial_gear = 2;
-  SlackAdaptive ctl(p, 1);
-  // ~18% blocked share (the window closes at the last exit, so the
-  // trailing compute stretch is excluded) sits between lo=5% and hi=25%.
-  double t = 0.0;
-  for (int w = 0; w < 6; ++w) {
-    for (int i = 0; i < 2; ++i) {
-      ctl.on_blocking_enter(0, mpi::CallType::kAllreduce, 0, seconds(t));
-      t += 0.10;
-      ctl.on_blocking_exit(0, mpi::CallType::kAllreduce, 0, seconds(t),
-                           seconds(0.10));
-      t += 0.90;
-    }
-  }
-  EXPECT_EQ(ctl.compute_gear(0), 2u);
-}
-
-TEST(SlackAdaptive, EndToEndConvergesPerRank) {
-  // Strong imbalance: slack ranks should settle at slower gears than the
-  // bottleneck rank, saving energy with bounded slowdown.
-  ClusterConfig config = athlon_cluster();
-  config.load_imbalance = 0.25;
-  ExperimentRunner runner(config);
-  const auto lu = workloads::make_workload("LU");
-  const RunResult base = runner.run(*lu, 8, 0);
-
-  SlackAdaptive adaptive(SlackAdaptive::Params{}, 8);
-  RunOptions options;
-  options.policy = &adaptive;
-  const RunResult tuned = runner.run(*lu, 8, options);
-
-  EXPECT_LT(tuned.energy.value(), base.energy.value());
-  EXPECT_LT(tuned.wall / base.wall, 1.10);
-  const auto gears = adaptive.final_gears();
-  // At least one rank found slack to exploit; not every rank did.
-  EXPECT_GT(*std::max_element(gears.begin(), gears.end()), 0u);
-}
-
-TEST(SlackAdaptive, LeavesComputeBoundRunsAlone) {
-  ExperimentRunner runner(athlon_cluster());
-  const auto ep = workloads::make_workload("EP");
-  SlackAdaptive adaptive(SlackAdaptive::Params{}, 8);
-  RunOptions options;
-  options.policy = &adaptive;
-  const RunResult tuned = runner.run(*ep, 8, options);
-  const RunResult base = runner.run(*ep, 8, 0);
-  // EP blocks only in its three final allreduces: no window completes,
-  // no shifts, identical time to within the driver's overhead.
-  EXPECT_NEAR(tuned.wall / base.wall, 1.0, 0.005);
-  for (std::size_t g : adaptive.final_gears()) EXPECT_EQ(g, 0u);
-}
-
-TEST(SlackAdaptive, SavesEnergyOnCommBoundCg) {
-  ExperimentRunner runner(athlon_cluster());
-  const auto cg = workloads::make_workload("CG");
-  SlackAdaptive adaptive(SlackAdaptive::Params{}, 8);
-  RunOptions options;
-  options.policy = &adaptive;
-  const RunResult tuned = runner.run(*cg, 8, options);
-  const RunResult base = runner.run(*cg, 8, 0);
-  EXPECT_LT(tuned.energy / base.energy, 0.95);
-  EXPECT_LT(tuned.wall / base.wall, 1.05);
-}
-
-TEST(SlackAdaptive, PositiveFeedbackPathologyOnSymmetricSync) {
-  // SP synchronizes every iteration; once every rank downshifts, the
-  // blocked share stays high (everyone waits together), so the naive
-  // controller never climbs back — a large slowdown.  This documents the
-  // limitation the Adagio-style designs fix.
-  ExperimentRunner runner(athlon_cluster());
-  const auto sp = workloads::make_workload("SP");
-  SlackAdaptive adaptive(SlackAdaptive::Params{}, 9);
-  RunOptions options;
-  options.policy = &adaptive;
-  const RunResult tuned = runner.run(*sp, 9, options);
-  const RunResult base = runner.run(*sp, 9, 0);
-  EXPECT_GT(tuned.wall / base.wall, 1.2);
-  const auto gears = adaptive.final_gears();
-  int downshifted = 0;
-  for (std::size_t g : gears) {
-    if (g > 0) ++downshifted;
-  }
-  EXPECT_GT(downshifted, 4);  // Most ranks stuck at slower gears.
 }
 
 TEST(TraceExportOption, WritesCsvFromARun) {

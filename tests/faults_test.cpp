@@ -476,6 +476,9 @@ TEST(RepeatedResult, TimeCvIsZeroNotNanOnDegenerateStats) {
 }
 
 // --- scheduler outages -------------------------------------------------------
+//
+// Outages on the scheduler's frozen arm, where every job's (nodes, gear)
+// point is fixed at placement; sched_test.cpp covers the arbitrated arm.
 
 sched::WorkloadProfile one_config_profile(const std::string& name,
                                           double time_s, double power_w) {
@@ -485,13 +488,28 @@ sched::WorkloadProfile one_config_profile(const std::string& name,
   return sched::WorkloadProfile(name, std::move(points));
 }
 
+/// A job that may span the whole 4-node test machine, arriving at t=0.
+sched::BatchJob job(const std::string& id, const sched::WorkloadProfile& p) {
+  sched::JobScript script;
+  script.id = id;
+  script.total_tasks = 4;
+  return sched::BatchJob{script, &p};
+}
+
+sched::BatchScheduler frozen(
+    sched::Machine machine,
+    sched::QueueDiscipline discipline = sched::QueueDiscipline::kFifo) {
+  return sched::BatchScheduler(machine, sched::BatchOptions{discipline, false});
+}
+
 TEST(SchedulerOutage, NoOutagesMatchesTheLegacyOverload) {
   using namespace gearsim::sched;
+  // Omitting the outage list is the same schedule as an empty one.
   const WorkloadProfile p = one_config_profile("J", 25.0, 800.0);
-  const Scheduler sched(Machine{4, watts(10000.0), watts(10.0)});
-  const std::vector<Job> queue = {Job{"a", &p}, Job{"b", &p}};
-  const ScheduleResult plain = sched.schedule(queue);
-  const ScheduleResult with_empty = sched.schedule(queue, {});
+  const BatchScheduler sched = frozen(Machine{4, watts(10000.0), watts(10.0)});
+  const std::vector<BatchJob> queue = {job("a", p), job("b", p)};
+  const BatchResult plain = sched.schedule(queue);
+  const BatchResult with_empty = sched.schedule(queue, {});
   EXPECT_EQ(plain.makespan.value(), with_empty.makespan.value());
   EXPECT_EQ(plain.job_energy.value(), with_empty.job_energy.value());
   EXPECT_EQ(plain.idle_energy.value(), with_empty.idle_energy.value());
@@ -504,16 +522,15 @@ TEST(SchedulerOutage, NoOutagesMatchesTheLegacyOverload) {
 TEST(SchedulerOutage, KilledJobIsRequeuedAfterRepair) {
   using namespace gearsim::sched;
   const WorkloadProfile p = one_config_profile("J", 25.0, 800.0);
-  const Scheduler sched(Machine{4, watts(10000.0), watts(10.0)});
-  const std::vector<Job> queue = {Job{"a", &p}};
+  const BatchScheduler sched = frozen(Machine{4, watts(10000.0), watts(10.0)});
   // All four nodes die at t=10 and come back at t=15: the job loses its
   // first 10 s of work and reruns completely, ending at 15 + 25 = 40.
-  const ScheduleResult r =
-      sched.schedule(queue, {NodeOutage{seconds(10.0), 4, seconds(5.0)}});
+  const BatchResult r = sched.schedule(
+      {job("a", p)}, {NodeOutage{seconds(10.0), 4, seconds(5.0)}});
   EXPECT_EQ(r.preemptions, 1);
   EXPECT_DOUBLE_EQ(r.makespan.value(), 40.0);
   EXPECT_DOUBLE_EQ(r.wasted_energy.value(), 800.0 * 10.0);
-  ASSERT_EQ(r.placements.size(), 1u);  // The killed placement was removed.
+  ASSERT_EQ(r.placements.size(), 1u);  // Killed runs are not listed.
   EXPECT_DOUBLE_EQ(r.placements[0].start.value(), 15.0);
   EXPECT_DOUBLE_EQ(r.job_energy.value(), 800.0 * 25.0);
 }
@@ -521,11 +538,10 @@ TEST(SchedulerOutage, KilledJobIsRequeuedAfterRepair) {
 TEST(SchedulerOutage, UnrepairedOutageThatBlocksTheQueueThrows) {
   using namespace gearsim::sched;
   const WorkloadProfile p = one_config_profile("J", 25.0, 800.0);
-  const Scheduler sched(Machine{4, watts(10000.0), watts(10.0)});
-  const std::vector<Job> queue = {Job{"a", &p}};
+  const BatchScheduler sched = frozen(Machine{4, watts(10000.0), watts(10.0)});
   // The whole machine dies forever mid-run: the job can never be re-run.
   EXPECT_THROW(
-      (void)sched.schedule(queue, {NodeOutage{seconds(10.0), 4}}),
+      (void)sched.schedule({job("a", p)}, {NodeOutage{seconds(10.0), 4}}),
       ContractError);
 }
 
@@ -536,12 +552,11 @@ TEST(SchedulerOutage, PartialOutageKillsOnlyWhatMustDie) {
   points.push_back(ConfigPoint{2, 0, 1, seconds(30.0),
                                watts(400.0) * seconds(30.0)});
   const WorkloadProfile p("half", std::move(points));
-  const Scheduler sched(Machine{4, watts(10000.0), watts(10.0)},
-                        WorkloadProfile::Objective::kMinTime,
-                        QueueDiscipline::kGreedy);
-  const std::vector<Job> queue = {Job{"old", &p}, Job{"young", &p}};
-  const ScheduleResult r =
-      sched.schedule(queue, {NodeOutage{seconds(10.0), 2, seconds(5.0)}});
+  const BatchScheduler sched = frozen(Machine{4, watts(10000.0), watts(10.0)},
+                                      QueueDiscipline::kGreedy);
+  const BatchResult r =
+      sched.schedule({job("old", p), job("young", p)},
+                     {NodeOutage{seconds(10.0), 2, seconds(5.0)}});
   // Both start at 0; "young" (placed second) is killed at 10, resumes at
   // 15, ends at 45; "old" finishes undisturbed at 30.
   EXPECT_EQ(r.preemptions, 1);
@@ -555,15 +570,14 @@ TEST(SchedulerOutage, TwoVictimOutageRequeuesInSubmissionOrder) {
   // Both 2-node jobs die when 3 of 4 nodes go down at t=10.  One node
   // stays down much longer, so after the first repair only one job fits
   // at a time and the requeue order is observable: "a" was submitted
-  // first and must restart first.  (Regression: victims used to be
-  // pushed to the queue front one by one, inverting the order.)
+  // first and must restart first.
   std::vector<ConfigPoint> points;
   points.push_back(
       ConfigPoint{2, 0, 1, seconds(30.0), watts(400.0) * seconds(30.0)});
   const WorkloadProfile p("half", std::move(points));
-  const Scheduler sched(Machine{4, watts(10000.0), watts(10.0)});
-  const ScheduleResult r = sched.schedule(
-      {Job{"a", &p}, Job{"b", &p}},
+  const BatchScheduler sched = frozen(Machine{4, watts(10000.0), watts(10.0)});
+  const BatchResult r = sched.schedule(
+      {job("a", p), job("b", p)},
       {NodeOutage{seconds(10.0), 2, seconds(10.0)},
        NodeOutage{seconds(10.0), 1, seconds(100.0)}});
   EXPECT_EQ(r.preemptions, 2);
@@ -576,51 +590,75 @@ TEST(SchedulerOutage, IdleWaitBeforeTheFirstPlacementIsInThePeak) {
   using namespace gearsim::sched;
   // 2 of 4 nodes are down from t=0, so the 4-node job waits for the
   // repair with the two survivors parked at 10 W each.  The job itself
-  // draws only 5 W: the reported peak must come from the pre-start idle
-  // window, not the run.
+  // draws only 5 W: the pre-start idle window must be sampled and
+  // integrated, not skipped.  The peak is the whole machine parked once
+  // the run is over.
   std::vector<ConfigPoint> points;
   points.push_back(
       ConfigPoint{4, 0, 1, seconds(25.0), watts(5.0) * seconds(25.0)});
   const WorkloadProfile p("dim", std::move(points));
-  const Scheduler sched(Machine{4, watts(10000.0), watts(10.0)});
-  const ScheduleResult r =
-      sched.schedule({Job{"a", &p}},
-                     {NodeOutage{seconds(0.0), 2, seconds(7.0)}});
+  const BatchScheduler sched = frozen(Machine{4, watts(10000.0), watts(10.0)});
+  const BatchResult r = sched.schedule(
+      {job("a", p)}, {NodeOutage{seconds(0.0), 2, seconds(7.0)}});
   EXPECT_DOUBLE_EQ(r.placement("a").start.value(), 7.0);
-  EXPECT_DOUBLE_EQ(r.peak_power.value(), 20.0);   // 2 parked x 10 W.
+  ASSERT_FALSE(r.power_timeline.empty());
+  EXPECT_DOUBLE_EQ(r.power_timeline.front().at.value(), 0.0);
+  EXPECT_DOUBLE_EQ(r.power_timeline.front().draw.value(), 20.0);  // 2 x 10 W.
+  EXPECT_DOUBLE_EQ(r.peak_power.value(), 40.0);    // 4 parked x 10 W.
   EXPECT_DOUBLE_EQ(r.idle_energy.value(), 140.0);  // 20 W x 7 s.
   EXPECT_DOUBLE_EQ(r.makespan.value(), 32.0);
 }
 
 TEST(SchedulerOutage, RepairUnderARunningJobAddsParkedDrawToThePeak) {
   using namespace gearsim::sched;
-  // The single-tenant scheduler checks the cap only at placement time:
-  // a repair that returns parked nodes mid-run raises the true draw and
-  // peak_power must report it honestly — even past the cap.  (The
-  // BatchScheduler closes this window by re-arbitrating gears at the
-  // repair; see sched_test.cpp.)
-  // Two shapes: the wide one satisfies the empty-machine pre-check; the
-  // narrow one is what actually fits while 3 of 4 nodes are down.
+  // While 3 of 4 nodes are down only the narrow 1-node shape fits; the
+  // wide one is what the empty machine would pick.  The repair at t=10
+  // returns three parked nodes under the running job.
   std::vector<ConfigPoint> points;
   points.push_back(
       ConfigPoint{4, 0, 1, seconds(25.0), watts(300.0) * seconds(25.0)});
   points.push_back(
       ConfigPoint{1, 0, 1, seconds(100.0), watts(200.0) * seconds(100.0)});
   const WorkloadProfile p("one", std::move(points));
-  const Scheduler sched(Machine{4, watts(340.0), watts(50.0)});
-  const ScheduleResult r =
-      sched.schedule({Job{"a", &p}},
-                     {NodeOutage{seconds(0.0), 3, seconds(10.0)}});
-  // [0, 10): 200 W job alone; [10, 100): plus 3 x 50 W parked = 350 W.
-  EXPECT_DOUBLE_EQ(r.peak_power.value(), 350.0);
-  EXPECT_DOUBLE_EQ(r.idle_energy.value(), 3 * 50.0 * 90.0);
+  const std::vector<NodeOutage> outage = {
+      NodeOutage{seconds(0.0), 3, seconds(10.0)}};
+
+  // Roomy cap: the frozen job runs on.  [0, 10): 200 W job alone;
+  // [10, 100): plus 3 x 50 W parked = 350 W.
+  const BatchResult roomy =
+      frozen(Machine{4, watts(10000.0), watts(50.0)})
+          .schedule({job("a", p)}, outage);
+  EXPECT_EQ(roomy.preemptions, 0);
+  EXPECT_DOUBLE_EQ(roomy.peak_power.value(), 350.0);
+  EXPECT_DOUBLE_EQ(roomy.idle_energy.value(), 3 * 50.0 * 90.0);
+
+  // At a 340 W cap that draw would bust the cap, and a frozen gear
+  // cannot absorb it: the job is evicted at the repair (its 10 s burn is
+  // wasted) and re-placed at once on the machine it now has, wide.
+  const BatchResult capped =
+      frozen(Machine{4, watts(340.0), watts(50.0)})
+          .schedule({job("a", p)}, outage);
+  EXPECT_EQ(capped.preemptions, 1);
+  EXPECT_DOUBLE_EQ(capped.wasted_energy.value(), 200.0 * 10.0);
+  EXPECT_EQ(capped.placement("a").nodes, 4);
+  EXPECT_DOUBLE_EQ(capped.placement("a").start.value(), 10.0);
+  EXPECT_DOUBLE_EQ(capped.makespan.value(), 35.0);
+  EXPECT_LE(capped.peak_power.value(), 340.0);
+  // Each shape has one gear, so the arbitrated arm has no rung to
+  // retreat to either: it evicts and re-places the same way.
+  const BatchResult arbitrated =
+      BatchScheduler(Machine{4, watts(340.0), watts(50.0)})
+          .schedule({job("a", p)}, outage);
+  EXPECT_EQ(arbitrated.preemptions, 1);
+  EXPECT_DOUBLE_EQ(arbitrated.makespan.value(), 35.0);
 }
 
 TEST(SchedulerOutage, BruteForceDrawTimelineMatchesPeakAndIdleEnergy) {
   using namespace gearsim::sched;
   // Reconstruct the draw timeline from first principles — placements
   // plus the outage calendar — and check the scheduler's sampled peak
-  // and idle integral against it, so no window can go unsampled.
+  // and idle integral against it, so no window can go unsampled.  A
+  // frozen run draws constantly, at energy / (end - start).
   std::vector<ConfigPoint> wide_pts;
   wide_pts.push_back(
       ConfigPoint{4, 0, 1, seconds(25.0), watts(800.0) * seconds(25.0)});
@@ -630,13 +668,12 @@ TEST(SchedulerOutage, BruteForceDrawTimelineMatchesPeakAndIdleEnergy) {
       ConfigPoint{1, 0, 1, seconds(40.0), watts(100.0) * seconds(40.0)});
   const WorkloadProfile narrow("narrow", std::move(narrow_pts));
   const double idle = 10.0;
-  const Scheduler sched(Machine{4, watts(10000.0), watts(idle)},
-                        WorkloadProfile::Objective::kMinTime,
-                        QueueDiscipline::kGreedy);
+  const BatchScheduler sched = frozen(
+      Machine{4, watts(10000.0), watts(idle)}, QueueDiscipline::kGreedy);
   const double out_at = 30.0;
   const double back_at = 50.0;
-  const ScheduleResult r = sched.schedule(
-      {Job{"a", &wide}, Job{"b", &narrow}},
+  const BatchResult r = sched.schedule(
+      {job("a", wide), job("b", narrow)},
       {NodeOutage{seconds(out_at), 2, seconds(back_at - out_at)}});
   EXPECT_EQ(r.preemptions, 0);  // The outage only took parked nodes.
 
@@ -656,8 +693,8 @@ TEST(SchedulerOutage, BruteForceDrawTimelineMatchesPeakAndIdleEnergy) {
     int busy_nodes = 0;
     for (const auto& pl : r.placements) {
       if (pl.start.value() <= t && t < pl.end.value()) {
-        busy_power += pl.config.mean_power().value();
-        busy_nodes += pl.config.nodes;
+        busy_power += pl.energy.value() / (pl.end - pl.start).value();
+        busy_nodes += pl.nodes;
       }
     }
     const int capacity = (t >= out_at && t < back_at) ? 2 : 4;

@@ -7,7 +7,7 @@
 
 #include "mpi/types.hpp"
 #include "power/energy_meter.hpp"
-#include "sched/profile.hpp"
+#include "sched/arbiter.hpp"
 #include "sim/engine.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -128,10 +128,21 @@ TEST(TextTable, RuleSeparatesSections) {
 // --- scheduler helpers ------------------------------------------------------------------
 
 TEST(SchedHelpers, ObjectiveNames) {
-  using O = sched::WorkloadProfile::Objective;
-  EXPECT_EQ(sched::to_string(O::kMinTime), "min-time");
-  EXPECT_EQ(sched::to_string(O::kMinEnergy), "min-energy");
-  EXPECT_EQ(sched::to_string(O::kMinEdp), "min-EDP");
+  // Each energy policy tag names the objective its score minimizes.
+  using T = sched::EnergyPolicyTag;
+  EXPECT_EQ(sched::to_string(T::kMinimizeTimeToSolution),
+            "minimize_time_to_solution");
+  EXPECT_EQ(sched::to_string(T::kMinimizeEnergyToSolution),
+            "minimize_energy_to_solution");
+  EXPECT_EQ(sched::to_string(T::kMinimizeEdp), "minimize_edp");
+  EXPECT_EQ(sched::to_string(T::kNone), "none");
+  const sched::ConfigPoint p{4, 1, 2, seconds(10.0), joules(2000.0)};
+  EXPECT_DOUBLE_EQ(sched::objective_score(T::kMinimizeTimeToSolution, p),
+                   10.0);
+  EXPECT_DOUBLE_EQ(sched::objective_score(T::kNone, p), 10.0);
+  EXPECT_DOUBLE_EQ(sched::objective_score(T::kMinimizeEnergyToSolution, p),
+                   2000.0);
+  EXPECT_DOUBLE_EQ(sched::objective_score(T::kMinimizeEdp, p), 20000.0);
 }
 
 TEST(SchedHelpers, ConfigPointDerivedQuantities) {

@@ -1,10 +1,12 @@
 // Tests for the adaptive DVFS runtime (src/policy): wait prediction,
-// iteration clocking, the online controllers, the evaluation harness,
+// iteration clocking, the online controllers (blocked-share feedback,
+// timeout downshift, slack reclamation), the evaluation harness,
 // and the cross-layer contracts the subsystem leans on — policy identity
 // in cache keys, gear-residency accounting, and straggler-cap precedence
 // over policy gear requests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "faults/fault_plan.hpp"
 #include "policy/controller.hpp"
 #include "policy/evaluator.hpp"
+#include "policy/slack_adaptive.hpp"
 #include "policy/slack_reclaimer.hpp"
 #include "policy/timeout_downshift.hpp"
 #include "trace/iteration.hpp"
@@ -143,6 +146,155 @@ TEST(TimeoutDownshift, ShortWaitsNeverPark) {
     EXPECT_EQ(ctl.comm_gear(0), 0u) << i;
     ctl.on_blocking_exit(0, CallType::kBarrier, 0, t, microseconds(50.0));
   }
+}
+
+// --- SlackAdaptive -----------------------------------------------------------
+
+TEST(SlackAdaptive, ValidatesParams) {
+  SlackAdaptive::Params p;
+  p.lo = 0.5;
+  p.hi = 0.2;
+  EXPECT_THROW(SlackAdaptive(p, 4), ContractError);
+  p = SlackAdaptive::Params{};
+  p.window = 0;
+  EXPECT_THROW(SlackAdaptive(p, 4), ContractError);
+  p = SlackAdaptive::Params{};
+  p.initial_gear = 6;
+  EXPECT_THROW(SlackAdaptive(p, 4), ContractError);
+  EXPECT_THROW(SlackAdaptive(SlackAdaptive::Params{}, 0), ContractError);
+  // Name and signature are its cache identity: they must not drift.
+  const SlackAdaptive ok(SlackAdaptive::Params{}, 1);
+  EXPECT_EQ(ok.name(), "slack-adaptive");
+  EXPECT_EQ(ok.signature(),
+            "slack-adaptive{initial=0,hi=0.25,lo=0.050000000000000003,"
+            "window=16,slowest=5}");
+}
+
+TEST(SlackAdaptive, StepsDownUnderSustainedSlack) {
+  SlackAdaptive::Params p;
+  p.window = 4;
+  SlackAdaptive ctl(p, 1);
+  // 50% blocked share across each window: should step down once per
+  // window until the slowest gear.
+  double t = 0.0;
+  for (int w = 0; w < 8; ++w) {
+    for (int i = 0; i < 4; ++i) {
+      ctl.on_blocking_enter(0, CallType::kAllreduce, 0, seconds(t));
+      t += 0.5;
+      ctl.on_blocking_exit(0, CallType::kAllreduce, 0, seconds(t),
+                           seconds(0.5));
+      t += 0.5;
+    }
+  }
+  EXPECT_EQ(ctl.compute_gear(0), 5u);  // Hit the floor after >= 5 windows.
+  EXPECT_EQ(ctl.comm_gear(0), 5u);     // Parks where it computes.
+}
+
+TEST(SlackAdaptive, StepsBackUpWhenSlackDisappears) {
+  SlackAdaptive::Params p;
+  p.window = 2;
+  p.initial_gear = 3;
+  SlackAdaptive ctl(p, 1);
+  // Negligible blocking: controller should climb back to gear 1.
+  double t = 0.0;
+  for (int w = 0; w < 6; ++w) {
+    for (int i = 0; i < 2; ++i) {
+      ctl.on_blocking_enter(0, CallType::kAllreduce, 0, seconds(t));
+      t += 0.001;
+      ctl.on_blocking_exit(0, CallType::kAllreduce, 0, seconds(t),
+                           seconds(0.001));
+      t += 1.0;
+    }
+  }
+  EXPECT_EQ(ctl.compute_gear(0), 0u);
+}
+
+TEST(SlackAdaptive, HoldsSteadyInTheDeadband) {
+  SlackAdaptive::Params p;
+  p.window = 2;
+  p.initial_gear = 2;
+  SlackAdaptive ctl(p, 1);
+  // ~18% blocked share (the window closes at the last exit, so the
+  // trailing compute stretch is excluded) sits between lo=5% and hi=25%.
+  double t = 0.0;
+  for (int w = 0; w < 6; ++w) {
+    for (int i = 0; i < 2; ++i) {
+      ctl.on_blocking_enter(0, CallType::kAllreduce, 0, seconds(t));
+      t += 0.10;
+      ctl.on_blocking_exit(0, CallType::kAllreduce, 0, seconds(t),
+                           seconds(0.10));
+      t += 0.90;
+    }
+  }
+  EXPECT_EQ(ctl.compute_gear(0), 2u);
+}
+
+TEST(SlackAdaptive, EndToEndConvergesPerRank) {
+  // Strong imbalance: slack ranks should settle at slower gears than the
+  // bottleneck rank, saving energy with bounded slowdown.
+  cluster::ClusterConfig config = cluster::athlon_cluster();
+  config.load_imbalance = 0.25;
+  cluster::ExperimentRunner runner(config);
+  const auto lu = workloads::make_workload("LU");
+  const cluster::RunResult base = runner.run(*lu, 8, 0);
+
+  SlackAdaptive adaptive(SlackAdaptive::Params{}, 8);
+  cluster::RunOptions options;
+  options.policy = &adaptive;
+  const cluster::RunResult tuned = runner.run(*lu, 8, options);
+
+  EXPECT_LT(tuned.energy.value(), base.energy.value());
+  EXPECT_LT(tuned.wall / base.wall, 1.10);
+  const auto gears = adaptive.final_gears();
+  // At least one rank found slack to exploit; not every rank did.
+  EXPECT_GT(*std::max_element(gears.begin(), gears.end()), 0u);
+}
+
+TEST(SlackAdaptive, LeavesComputeBoundRunsAlone) {
+  cluster::ExperimentRunner runner(cluster::athlon_cluster());
+  const auto ep = workloads::make_workload("EP");
+  SlackAdaptive adaptive(SlackAdaptive::Params{}, 8);
+  cluster::RunOptions options;
+  options.policy = &adaptive;
+  const cluster::RunResult tuned = runner.run(*ep, 8, options);
+  const cluster::RunResult base = runner.run(*ep, 8, 0);
+  // EP blocks only in its three final allreduces: no window completes,
+  // no shifts, identical time to within the driver's overhead.
+  EXPECT_NEAR(tuned.wall / base.wall, 1.0, 0.005);
+  for (std::size_t g : adaptive.final_gears()) EXPECT_EQ(g, 0u);
+}
+
+TEST(SlackAdaptive, SavesEnergyOnCommBoundCg) {
+  cluster::ExperimentRunner runner(cluster::athlon_cluster());
+  const auto cg = workloads::make_workload("CG");
+  SlackAdaptive adaptive(SlackAdaptive::Params{}, 8);
+  cluster::RunOptions options;
+  options.policy = &adaptive;
+  const cluster::RunResult tuned = runner.run(*cg, 8, options);
+  const cluster::RunResult base = runner.run(*cg, 8, 0);
+  EXPECT_LT(tuned.energy / base.energy, 0.95);
+  EXPECT_LT(tuned.wall / base.wall, 1.05);
+}
+
+TEST(SlackAdaptive, PositiveFeedbackPathologyOnSymmetricSync) {
+  // SP synchronizes every iteration; once every rank downshifts, the
+  // blocked share stays high (everyone waits together), so the naive
+  // controller never climbs back — a large slowdown.  This documents the
+  // limitation the Adagio-style designs fix.
+  cluster::ExperimentRunner runner(cluster::athlon_cluster());
+  const auto sp = workloads::make_workload("SP");
+  SlackAdaptive adaptive(SlackAdaptive::Params{}, 9);
+  cluster::RunOptions options;
+  options.policy = &adaptive;
+  const cluster::RunResult tuned = runner.run(*sp, 9, options);
+  const cluster::RunResult base = runner.run(*sp, 9, 0);
+  EXPECT_GT(tuned.wall / base.wall, 1.2);
+  const auto gears = adaptive.final_gears();
+  int downshifted = 0;
+  for (std::size_t g : gears) {
+    if (g > 0) ++downshifted;
+  }
+  EXPECT_GT(downshifted, 4);  // Most ranks stuck at slower gears.
 }
 
 // --- SlackReclaimer ------------------------------------------------------------

@@ -1,9 +1,11 @@
-// Tests for the energy-aware batch scheduler: profile queries, placement
-// feasibility under a power cap, queue disciplines, objectives, the
+// Tests for the energy-aware batch scheduler: profile tables, frozen-arm
+// placement under a power cap, queue disciplines, per-tag objectives, the
 // energy/makespan accounting identities, the LoadLeveler job-script
-// parser, the gear arbiter, and the multi-tenant BatchScheduler (cap
-// invariant, power redistribution, wall-limit kills, determinism).
+// parser, the gear arbiter, and the arbitrated arm (cap invariant, power
+// redistribution, wall-limit kills, determinism).
 #include <gtest/gtest.h>
+
+#include <limits>
 
 #include "exec/sweep_runner.hpp"
 #include "obs/metrics.hpp"
@@ -31,40 +33,77 @@ WorkloadProfile toy_profile(const std::string& name, double t1 = 100.0,
   return WorkloadProfile(name, std::move(points));
 }
 
+/// Three 1-node gears whose time, energy and EDP optima all differ:
+/// gear 1 is fastest, gear 2 minimizes EDP, gear 3 minimizes energy.
+WorkloadProfile three_optima_profile() {
+  std::vector<ConfigPoint> points;
+  points.push_back(
+      ConfigPoint{1, 0, 1, seconds(100.0), watts(300.0) * seconds(100.0)});
+  points.push_back(
+      ConfigPoint{1, 1, 2, seconds(120.0), watts(200.0) * seconds(120.0)});
+  points.push_back(
+      ConfigPoint{1, 2, 3, seconds(160.0), watts(140.0) * seconds(160.0)});
+  return WorkloadProfile("three", std::move(points));
+}
+
 Machine lab(int nodes = 4, double cap = 10000.0, double idle = 10.0) {
   return Machine{nodes, watts(cap), watts(idle)};
+}
+
+JobScript spec(std::string id, int tasks,
+               EnergyPolicyTag tag = EnergyPolicyTag::kNone,
+               double arrival = 0.0, double limit = 0.0) {
+  JobScript s;
+  s.id = std::move(id);
+  s.total_tasks = tasks;
+  s.tag = tag;
+  s.arrival = seconds(arrival);
+  s.wall_clock_limit = seconds(limit);
+  return s;
+}
+
+/// The frozen arm: each job's (nodes, gear) point is fixed at placement,
+/// picked by its tag's objective_score.
+BatchScheduler frozen(Machine machine,
+                      QueueDiscipline discipline = QueueDiscipline::kFifo) {
+  return BatchScheduler(machine, BatchOptions{discipline, false});
+}
+
+/// Where the frozen arm places a lone `tasks`-wide job tagged `tag`.
+BatchPlacement lone_placement(const WorkloadProfile& p, int tasks,
+                              EnergyPolicyTag tag, Machine machine = lab()) {
+  return frozen(machine)
+      .schedule({BatchJob{spec("a", tasks, tag), &p}})
+      .placement("a");
 }
 
 // --- profiles ----------------------------------------------------------------
 
 TEST(Profile, BestMinTimePicksWideAndFast) {
   const WorkloadProfile p = toy_profile("J");
-  const auto best = p.best(WorkloadProfile::Objective::kMinTime, 4,
-                           watts(1e9));
-  ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->nodes, 4);
-  EXPECT_EQ(best->gear_label, 1);
+  const BatchPlacement best =
+      lone_placement(p, 4, EnergyPolicyTag::kMinimizeTimeToSolution);
+  EXPECT_EQ(best.nodes, 4);
+  EXPECT_EQ(best.start_gear_label, 1);
 }
 
 TEST(Profile, BestMinEnergyPicksSlowGear) {
   const WorkloadProfile p = toy_profile("J");
-  const auto best = p.best(WorkloadProfile::Objective::kMinEnergy, 4,
-                           watts(1e9));
-  ASSERT_TRUE(best.has_value());
-  EXPECT_EQ(best->gear_label, 2);
+  const BatchPlacement best =
+      lone_placement(p, 4, EnergyPolicyTag::kMinimizeEnergyToSolution);
+  EXPECT_EQ(best.start_gear_label, 2);
   // Energy ties across node counts (perfect scaling): fewest nodes wins.
-  EXPECT_EQ(best->nodes, 1);
+  EXPECT_EQ(best.nodes, 1);
 }
 
 TEST(Profile, BestRespectsNodeAndPowerLimits) {
   const WorkloadProfile p = toy_profile("J");
-  const auto narrow = p.best(WorkloadProfile::Objective::kMinTime, 2,
-                             watts(1e9));
-  ASSERT_TRUE(narrow.has_value());
-  EXPECT_LE(narrow->nodes, 2);
-  // Cap below even the 1-node slow config's 120 W: infeasible.
-  EXPECT_FALSE(p.best(WorkloadProfile::Objective::kMinTime, 4, watts(100.0))
-                   .has_value());
+  EXPECT_LE(lone_placement(p, 2, EnergyPolicyTag::kNone).nodes, 2);
+  // Cap below even the 1-node slow config's 120 W plus three parked
+  // nodes: infeasible, rejected up front.
+  EXPECT_THROW((void)lone_placement(p, 4, EnergyPolicyTag::kNone,
+                                    lab(4, 100.0, 10.0)),
+               ContractError);
 }
 
 TEST(Profile, MeasureBuildsFullTable) {
@@ -86,12 +125,12 @@ TEST(Profile, RejectsDegenerateInput) {
       ContractError);
 }
 
-// --- scheduler basics ------------------------------------------------------------
+// --- frozen arm --------------------------------------------------------------
 
 TEST(Scheduler, SingleJobRunsImmediately) {
   const WorkloadProfile p = toy_profile("J");
-  const Scheduler sched(lab());
-  const auto result = sched.schedule({Job{"a", &p}});
+  const BatchResult result =
+      frozen(lab()).schedule({BatchJob{spec("a", 4), &p}});
   ASSERT_EQ(result.placements.size(), 1u);
   EXPECT_DOUBLE_EQ(result.placements[0].start.value(), 0.0);
   EXPECT_DOUBLE_EQ(result.makespan.value(), 25.0);  // 4 nodes fast.
@@ -102,10 +141,10 @@ TEST(Scheduler, TwoJobsShareTheMachine) {
   const WorkloadProfile p = toy_profile("J");
   // 4 nodes: min-time would want 4 each; with two queued jobs FIFO places
   // the first on all 4, the second waits.
-  const Scheduler sched(lab());
-  const auto result = sched.schedule({Job{"a", &p}, Job{"b", &p}});
-  const auto& a = result.placement("a");
-  const auto& b = result.placement("b");
+  const BatchResult result = frozen(lab()).schedule(
+      {BatchJob{spec("a", 4), &p}, BatchJob{spec("b", 4), &p}});
+  const BatchPlacement& a = result.placement("a");
+  const BatchPlacement& b = result.placement("b");
   EXPECT_DOUBLE_EQ(a.start.value(), 0.0);
   EXPECT_DOUBLE_EQ(b.start.value(), a.end.value());
   EXPECT_DOUBLE_EQ(result.makespan.value(), 50.0);
@@ -117,33 +156,38 @@ TEST(Scheduler, PowerCapForcesNarrowOrSlowPlacements) {
   // (480 W) fits; min-time picks the fastest feasible = 2-node fast
   // (400 + 2*10 = 420 W) vs 4-node slow (480 W, 37.5 s)... 2-node fast is
   // 50 s; 4-node slow is 37.5 s -> slow-but-wide wins.
-  const Scheduler sched(lab(4, 520.0, 10.0));
-  const auto result = sched.schedule({Job{"a", &p}});
-  EXPECT_EQ(result.placement("a").config.nodes, 4);
-  EXPECT_EQ(result.placement("a").config.gear_label, 2);
+  const BatchResult result =
+      frozen(lab(4, 520.0, 10.0)).schedule({BatchJob{spec("a", 4), &p}});
+  EXPECT_EQ(result.placement("a").nodes, 4);
+  EXPECT_EQ(result.placement("a").start_gear_label, 2);
   EXPECT_LE(result.peak_power.value(), 520.0);
 }
 
 TEST(Scheduler, CapAccountsForParkedNodes) {
   const WorkloadProfile p = toy_profile("J");
-  // 1-node fast draws 200 W; 3 parked nodes draw 150 W.  Cap 340 W:
-  // 200 + 150 = 350 > cap, so 1-node fast is infeasible even though the
-  // job alone fits; 1-node slow is 120 + 150 = 270 W.
-  const Scheduler sched(lab(4, 340.0, 50.0));
-  const auto result = sched.schedule({Job{"a", &p}});
-  EXPECT_EQ(result.placement("a").config.gear_label, 2);
+  // Parked nodes draw 50 W each against a 340 W cap.  1-node fast is
+  // 200 + 150 = 350 W: infeasible even though the job alone fits.  The
+  // fastest point that fits is 2-node slow, 240 + 100 W, exactly at the
+  // cap.
+  const BatchResult result =
+      frozen(lab(4, 340.0, 50.0)).schedule({BatchJob{spec("a", 4), &p}});
+  EXPECT_EQ(result.placement("a").nodes, 2);
+  EXPECT_EQ(result.placement("a").start_gear_label, 2);
+  EXPECT_DOUBLE_EQ(result.peak_power.value(), 340.0);
 }
 
 TEST(Scheduler, ImpossibleJobThrowsUpFront) {
   const WorkloadProfile p = toy_profile("J");
-  const Scheduler sched(lab(4, 125.0, 10.0));  // Under every config's draw.
-  EXPECT_THROW((void)sched.schedule({Job{"a", &p}}), ContractError);
+  // Under every config's draw.
+  EXPECT_THROW(
+      (void)frozen(lab(4, 125.0, 10.0)).schedule({BatchJob{spec("a", 4), &p}}),
+      ContractError);
 }
 
 TEST(Scheduler, MachineValidation) {
-  EXPECT_THROW(Scheduler(Machine{0, watts(100), watts(1)}), ContractError);
+  EXPECT_THROW(frozen(Machine{0, watts(100), watts(1)}), ContractError);
   // Cap below parked draw of the whole machine.
-  EXPECT_THROW(Scheduler(Machine{10, watts(100), watts(50)}), ContractError);
+  EXPECT_THROW(frozen(Machine{10, watts(100), watts(50)}), ContractError);
 }
 
 // --- disciplines and objectives ----------------------------------------------------
@@ -154,18 +198,16 @@ TEST(Scheduler, GreedyBackfillsAroundAWideJob) {
       "wide", {ConfigPoint{4, 0, 1, seconds(25.0), joules(20000.0)}});
   const WorkloadProfile narrow(
       "narrow", {ConfigPoint{1, 0, 1, seconds(10.0), joules(2000.0)}});
-  const std::vector<Job> queue = {Job{"w1", &wide}, Job{"w2", &wide},
-                                  Job{"n", &narrow}};
+  const std::vector<BatchJob> queue = {BatchJob{spec("w1", 4), &wide},
+                                       BatchJob{spec("w2", 4), &wide},
+                                       BatchJob{spec("n", 1), &narrow}};
   const Machine five{5, watts(1e9), watts(10.0)};
   // FIFO on a 5-node machine: w1 takes 4, w2 needs 4 but only 1 is free,
   // so it waits — and n waits behind it despite the free node.
-  const auto fifo = Scheduler(five, WorkloadProfile::Objective::kMinTime,
-                              QueueDiscipline::kFifo)
-                        .schedule(queue);
+  const BatchResult fifo = frozen(five, QueueDiscipline::kFifo).schedule(queue);
   // Greedy backfills n onto the spare node immediately.
-  const auto greedy = Scheduler(five, WorkloadProfile::Objective::kMinTime,
-                                QueueDiscipline::kGreedy)
-                          .schedule(queue);
+  const BatchResult greedy =
+      frozen(five, QueueDiscipline::kGreedy).schedule(queue);
   EXPECT_GT(fifo.placement("n").start.value(), 0.0);
   EXPECT_DOUBLE_EQ(greedy.placement("n").start.value(), 0.0);
   EXPECT_LE(greedy.makespan.value(), fifo.makespan.value());
@@ -173,47 +215,65 @@ TEST(Scheduler, GreedyBackfillsAroundAWideJob) {
 
 TEST(Scheduler, MinEnergyObjectiveUsesLessJobEnergy) {
   const WorkloadProfile p = toy_profile("J");
-  const std::vector<Job> queue = {Job{"a", &p}, Job{"b", &p}};
-  const auto fast = Scheduler(lab(), WorkloadProfile::Objective::kMinTime)
-                        .schedule(queue);
-  const auto frugal =
-      Scheduler(lab(), WorkloadProfile::Objective::kMinEnergy)
-          .schedule(queue);
+  const auto queue = [&p](EnergyPolicyTag tag) {
+    return std::vector<BatchJob>{BatchJob{spec("a", 4, tag), &p},
+                                 BatchJob{spec("b", 4, tag), &p}};
+  };
+  const BatchResult fast = frozen(lab()).schedule(
+      queue(EnergyPolicyTag::kMinimizeTimeToSolution));
+  const BatchResult frugal = frozen(lab()).schedule(
+      queue(EnergyPolicyTag::kMinimizeEnergyToSolution));
   EXPECT_LT(frugal.job_energy.value(), fast.job_energy.value());
   EXPECT_GE(frugal.makespan.value(), fast.makespan.value());
+}
+
+TEST(Scheduler, FrozenArmPlacesEachJobAtItsTagsOptimum) {
+  // On a roomy machine every point fits, so each job lands on the point
+  // its tag's objective_score ranks first, and holds it to completion.
+  const WorkloadProfile p = three_optima_profile();
+  const auto gear_for = [&p](EnergyPolicyTag tag) {
+    const BatchPlacement a = lone_placement(p, 1, tag);
+    EXPECT_EQ(a.start_gear_label, a.final_gear_label);
+    return a.start_gear_label;
+  };
+  EXPECT_EQ(gear_for(EnergyPolicyTag::kMinimizeTimeToSolution), 1);
+  EXPECT_EQ(gear_for(EnergyPolicyTag::kNone), 1);
+  EXPECT_EQ(gear_for(EnergyPolicyTag::kMinimizeEdp), 2);
+  EXPECT_EQ(gear_for(EnergyPolicyTag::kMinimizeEnergyToSolution), 3);
 }
 
 // --- accounting identities -----------------------------------------------------------
 
 TEST(Scheduler, EnergyAndPeakIdentities) {
   const WorkloadProfile p = toy_profile("J");
-  const Scheduler sched(lab(4, 900.0, 25.0));
-  const auto result = sched.schedule({Job{"a", &p}, Job{"b", &p}});
-  // Job energy is the sum of placed configurations' energies.
+  const BatchResult result = frozen(lab(4, 900.0, 25.0)).schedule(
+      {BatchJob{spec("a", 4), &p}, BatchJob{spec("b", 4), &p}});
+  // Job energy is the sum of the completed runs' energies.
   Joules expected{};
-  for (const auto& pl : result.placements) expected += pl.config.energy;
+  for (const auto& pl : result.placements) expected += pl.energy;
   EXPECT_DOUBLE_EQ(result.job_energy.value(), expected.value());
-  EXPECT_DOUBLE_EQ(result.total_energy().value(),
-                   (result.job_energy + result.idle_energy).value());
+  EXPECT_DOUBLE_EQ(
+      result.total_energy().value(),
+      (result.job_energy + result.idle_energy + result.wasted_energy).value());
   EXPECT_LE(result.peak_power.value(), 900.0);
   EXPECT_GT(result.peak_power.value(), 0.0);
   // Placements never overlap beyond the machine's node count.
   for (const auto& x : result.placements) {
     int concurrent = 0;
     for (const auto& y : result.placements) {
-      if (y.start < x.end && x.start < y.end) concurrent += y.config.nodes;
+      if (y.start < x.end && x.start < y.end) concurrent += y.nodes;
     }
     EXPECT_LE(concurrent, 4);
   }
 }
 
 TEST(Scheduler, IdleEnergyCoversParkedNodes) {
-  // One 1-node job on a 4-node machine: 3 nodes parked for the whole run
-  // plus the placement nodes... idle integral = 3 * idle * makespan.
+  // One 1-node job on a 4-node machine: 3 nodes parked for the whole
+  // run, so the idle integral is 3 * idle * makespan.
   const WorkloadProfile narrow(
       "n", {ConfigPoint{1, 0, 1, seconds(10.0), joules(2000.0)}});
-  const Scheduler sched(lab(4, 1e6, 30.0));
-  const auto result = sched.schedule({Job{"a", &narrow}});
+  const BatchResult result =
+      frozen(lab(4, 1e6, 30.0)).schedule({BatchJob{spec("a", 1), &narrow}});
   EXPECT_DOUBLE_EQ(result.makespan.value(), 10.0);
   EXPECT_DOUBLE_EQ(result.idle_energy.value(), 3 * 30.0 * 10.0);
 }
@@ -227,9 +287,8 @@ TEST(Scheduler, EndToEndWithMeasuredProfiles) {
   const WorkloadProfile cg_prof = WorkloadProfile::measure(runner, *cg, 8);
   const WorkloadProfile ep_prof = WorkloadProfile::measure(runner, *ep, 8);
   const Machine rack{10, watts(900.0), watts(85.0)};
-  const auto result =
-      Scheduler(rack, WorkloadProfile::Objective::kMinTime)
-          .schedule({Job{"cg", &cg_prof}, Job{"ep", &ep_prof}});
+  const BatchResult result = frozen(rack).schedule(
+      {BatchJob{spec("cg", 10), &cg_prof}, BatchJob{spec("ep", 10), &ep_prof}});
   EXPECT_EQ(result.placements.size(), 2u);
   EXPECT_LE(result.peak_power.value(), 900.0 + 1e-9);
   EXPECT_GT(result.makespan.value(), 0.0);
@@ -358,6 +417,22 @@ TEST(JobScript, EnergyPolicyTagBindings) {
   const auto site = parse_job_script(
       "#@ energy_policy_tag = my_project_tag\n#@ queue\n");
   EXPECT_EQ(site.tag, EnergyPolicyTag::kNone);
+  // Every tag's name round-trips through the direct binding.
+  for (EnergyPolicyTag tag :
+       {EnergyPolicyTag::kMinimizeTimeToSolution,
+        EnergyPolicyTag::kMinimizeEnergyToSolution,
+        EnergyPolicyTag::kMinimizeEdp, EnergyPolicyTag::kNone}) {
+    EXPECT_EQ(parse_job_script("#@ energy_policy_tag = " + to_string(tag) +
+                               "\n#@ queue\n")
+                  .tag,
+              tag)
+        << to_string(tag);
+  }
+  EXPECT_EQ(to_string(EnergyPolicyTag::kMinimizeEdp), "minimize_edp");
+  // minimize_edp binds only by name: there is no `#@ minimize_edp` line,
+  // so one is an ignored unknown key.
+  EXPECT_EQ(parse_job_script("#@ minimize_edp = yes\n#@ queue\n").tag,
+            EnergyPolicyTag::kNone);
   // Contradictory minimize_* lines are a script bug.
   EXPECT_THROW((void)parse_job_script(
                    "#@ minimize_time_to_solution = yes\n"
@@ -375,6 +450,20 @@ TEST(JobScript, MalformedScriptsThrow) {
                ContractError);
   EXPECT_THROW((void)parse_job_scripts("#@ no equals sign here\n"),
                ContractError);
+  // Non-finite numbers parse as doubles but would wedge the event loop.
+  EXPECT_THROW((void)parse_job_scripts("#@ arrival = inf\n#@ queue\n"),
+               ContractError);
+  EXPECT_THROW((void)parse_job_scripts("#@ arrival = nan\n#@ queue\n"),
+               ContractError);
+  // Every field finite, but the limit overflows once scaled to seconds.
+  try {
+    (void)parse_job_scripts("#@ wall_clock_limit = 1e308:0:0\n#@ queue\n");
+    ADD_FAILURE() << "overflowing wall_clock_limit accepted";
+  } catch (const ContractError& e) {
+    EXPECT_NE(std::string(e.what()).find("job script: bad wall_clock_limit"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // --- gear arbiter ------------------------------------------------------------
@@ -397,16 +486,20 @@ TEST(Arbiter, GrantsHeadroomByPriorityClass) {
 
 TEST(Arbiter, MinEnergyJobNeverClimbsPastItsOptimalRung) {
   const WorkloadProfile p = toy_profile("J");
+  const WorkloadProfile three = three_optima_profile();
   // Slow is the energy optimum (0.9x): even with unlimited budget the
   // min-energy job holds it while the untagged job takes the headroom.
+  // A min-EDP job likewise stops at its EDP-optimal middle rung.
   const GearArbiter arbiter(watts(1e9), watts(0.0));
   const auto outcome = arbiter.arbitrate(
       {ArbiterJob{&p, 1, EnergyPolicyTag::kMinimizeEnergyToSolution},
-       ArbiterJob{&p, 1, EnergyPolicyTag::kNone}},
+       ArbiterJob{&p, 1, EnergyPolicyTag::kNone},
+       ArbiterJob{&three, 1, EnergyPolicyTag::kMinimizeEdp}},
       0);
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(outcome->gears[0].gear_label, 2);
   EXPECT_EQ(outcome->gears[1].gear_label, 1);
+  EXPECT_EQ(outcome->gears[2].gear_label, 2);
 }
 
 TEST(Arbiter, InfeasibleWhenEvenTheFloorBustsTheBudget) {
@@ -422,18 +515,6 @@ TEST(Arbiter, InfeasibleWhenEvenTheFloorBustsTheBudget) {
 }
 
 // --- batch scheduler ---------------------------------------------------------
-
-JobScript spec(std::string id, int tasks,
-               EnergyPolicyTag tag = EnergyPolicyTag::kNone,
-               double arrival = 0.0, double limit = 0.0) {
-  JobScript s;
-  s.id = std::move(id);
-  s.total_tasks = tasks;
-  s.tag = tag;
-  s.arrival = seconds(arrival);
-  s.wall_clock_limit = seconds(limit);
-  return s;
-}
 
 /// Every sample of the draw timeline obeys the cap (a tiny epsilon
 /// absorbs re-ordered floating-point sums).
@@ -512,7 +593,7 @@ TEST(BatchScheduler, CrashRedistributesTheVictimsBudget) {
   EXPECT_DOUBLE_EQ(a.end.value(), 110.0);  // 30 + 0.8 * 100.
   EXPECT_DOUBLE_EQ(r.redistributed_watts.value(), 80.0);
   // "b" re-runs once a node frees up: its completed placement is the
-  // re-run (ScheduleResult::placement on a killed-then-rerun job).
+  // re-run (BatchResult::placement on a killed-then-rerun job).
   EXPECT_DOUBLE_EQ(r.placement("b").start.value(), 110.0);
   EXPECT_DOUBLE_EQ(r.makespan.value(), 210.0);
   expect_cap_invariant(r, 250.0);
@@ -727,6 +808,13 @@ TEST(BatchScheduler, EdgeCaseContracts) {
                ContractError);
   EXPECT_THROW((void)roomy.schedule({BatchJob{spec("a", 1), nullptr}}),
                ContractError);
+  // A job that never arrives would wedge the event loop.
+  EXPECT_THROW(
+      (void)roomy.schedule({BatchJob{
+          spec("a", 1, EnergyPolicyTag::kNone,
+               std::numeric_limits<double>::infinity()),
+          &p}}),
+      ContractError);
   // placement() on a job that never completed.
   const BatchResult ok = roomy.schedule({BatchJob{spec("a", 1), &p}});
   EXPECT_THROW((void)ok.placement("ghost"), ContractError);
