@@ -278,8 +278,8 @@ RunResult ExperimentRunner::run(const Workload& workload, int nodes,
   } catch (const faults::NodeFailure& failure) {
     aborted = true;
     fatal = faults::CrashEvent{failure.node, failure.at};
-    // The run is over at the crash instant.  Unwind the surviving rank
-    // threads now, while the world/network/meter they reference are still
+    // The run is over at the crash instant.  Unwind the surviving ranks
+    // now, while the world/network/meter they reference are still
     // alive, then settle the books with whatever partial progress exists.
     engine.terminate_processes();
     for (auto& mm : multimeters) {

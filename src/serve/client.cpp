@@ -51,13 +51,20 @@ std::string Client::request(std::string_view line) const {
     GEARSIM_REQUIRE(false, "write " + socket_path_ + ": " + error);
   }
 
+  // One request per connection, so the response is everything up to the
+  // first '\n'.
   std::string response;
-  char c = 0;
+  char buffer[4096];
   for (;;) {
-    const ssize_t n = ::read(fd, &c, 1);
-    if (n == 1) {
-      if (c == '\n') break;
-      response += c;
+    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
+    if (n > 0) {
+      const auto bytes = static_cast<std::size_t>(n);
+      const auto* newline =
+          static_cast<const char*>(std::memchr(buffer, '\n', bytes));
+      response.append(buffer, newline != nullptr
+                                  ? static_cast<std::size_t>(newline - buffer)
+                                  : bytes);
+      if (newline != nullptr) break;
       continue;
     }
     if (n < 0 && errno == EINTR) continue;

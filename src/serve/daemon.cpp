@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "serve/protocol.hpp"
 #include "serve/service.hpp"
 #include "util/assert.hpp"
 
@@ -25,25 +26,56 @@ Daemon::~Daemon() { stop(); }
 
 namespace {
 
-/// Read until '\n' or EOF.  Returns false on EOF-before-any-byte (clean
-/// close) and on read errors; partial lines without a newline are
-/// delivered as-is so a client that forgets the terminator still gets an
-/// answer before EOF ends the connection.
-bool read_line(int fd, std::string& line) {
-  line.clear();
-  char c = 0;
-  for (;;) {
-    const ssize_t n = ::read(fd, &c, 1);
-    if (n == 1) {
-      if (c == '\n') return true;
-      line += c;
-      continue;
+/// Longest request line the daemon accepts, newline excluded.  A longer
+/// one gets an error response and the connection closes, so a client
+/// cannot make the daemon buffer without bound.
+constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
+
+/// Buffered line reader over one connection.  Bytes read past a line's
+/// '\n' stay buffered for the next line on the same connection.
+class LineReader {
+ public:
+  enum class Status { kLine, kClosed, kTooLong };
+
+  explicit LineReader(int fd) : fd_(fd) {}
+
+  /// Next line into `line`, without its '\n'.  kClosed on EOF before any
+  /// byte and on read errors; a final line without a newline is delivered
+  /// as-is, so a client that forgets the terminator still gets an answer.
+  Status next(std::string& line) {
+    line.clear();
+    for (;;) {
+      const char* begin = buffer_ + begin_;
+      const std::size_t buffered = end_ - begin_;
+      const auto* newline =
+          static_cast<const char*>(std::memchr(begin, '\n', buffered));
+      const std::size_t take =
+          newline != nullptr ? static_cast<std::size_t>(newline - begin)
+                             : buffered;
+      if (line.size() + take > kMaxRequestLine) return Status::kTooLong;
+      line.append(begin, take);
+      if (newline != nullptr) {
+        begin_ += take + 1;
+        return Status::kLine;
+      }
+      begin_ = end_ = 0;
+      const ssize_t n = ::read(fd_, buffer_, sizeof(buffer_));
+      if (n > 0) {
+        end_ = static_cast<std::size_t>(n);
+        continue;
+      }
+      if (n == 0) return line.empty() ? Status::kClosed : Status::kLine;
+      if (errno == EINTR) continue;
+      return Status::kClosed;
     }
-    if (n == 0) return !line.empty();
-    if (errno == EINTR) continue;
-    return false;
   }
-}
+
+ private:
+  int fd_;
+  char buffer_[4096];
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+};
 
 bool write_all(int fd, std::string_view bytes) {
   std::size_t sent = 0;
@@ -102,16 +134,40 @@ void Daemon::accept_loop() {
       ::close(fd);
       continue;
     }
-    const std::lock_guard<std::mutex> lock(mutex_);
-    connections_.emplace_back([this, fd] { serve_connection(fd); });
+    // Join the connections that finished since the last accept, so a
+    // long-lived daemon holds threads only for live connections.
+    std::vector<std::thread> finished;
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      for (const std::uint64_t id : finished_ids_) {
+        const auto it = connections_.find(id);
+        finished.push_back(std::move(it->second));
+        connections_.erase(it);
+      }
+      finished_ids_.clear();
+      const std::uint64_t id = next_connection_id_++;
+      connections_.emplace(
+          id, std::thread([this, id, fd] { serve_connection(id, fd); }));
+    }
+    for (std::thread& t : finished) t.join();
   }
   running_.store(false, std::memory_order_release);
   stopped_cv_.notify_all();
 }
 
-void Daemon::serve_connection(int fd) {
+void Daemon::serve_connection(std::uint64_t id, int fd) {
+  LineReader reader(fd);
   std::string line;
-  while (read_line(fd, line)) {
+  for (;;) {
+    const LineReader::Status status = reader.next(line);
+    if (status == LineReader::Status::kClosed) break;
+    if (status == LineReader::Status::kTooLong) {
+      (void)write_all(fd, error_response("request line longer than " +
+                                         std::to_string(kMaxRequestLine) +
+                                         " bytes"));
+      (void)write_all(fd, "\n");
+      break;
+    }
     const std::string response = service_.handle_line(line);
     if (!write_all(fd, response) || !write_all(fd, "\n")) break;
     if (service_.shutdown_requested()) {
@@ -122,6 +178,8 @@ void Daemon::serve_connection(int fd) {
     }
   }
   ::close(fd);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  finished_ids_.push_back(id);
 }
 
 void Daemon::wait() {
@@ -144,13 +202,19 @@ void Daemon::stop() {
   if (listen_fd_ < 0 && !accept_thread_.joinable()) return;
   request_stop();
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> connections;
+  std::unordered_map<std::uint64_t, std::thread> connections;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     connections.swap(connections_);
   }
-  for (std::thread& t : connections) {
+  for (auto& [id, t] : connections) {
     if (t.joinable()) t.join();
+  }
+  {
+    // Every connection has recorded its id by now; a restarted daemon
+    // must not try to reap them.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    finished_ids_.clear();
   }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -166,7 +230,7 @@ void Daemon::start() {
   GEARSIM_REQUIRE(false, "gearsim daemon requires AF_UNIX sockets");
 }
 void Daemon::accept_loop() {}
-void Daemon::serve_connection(int) {}
+void Daemon::serve_connection(std::uint64_t, int) {}
 void Daemon::wait() {}
 void Daemon::request_stop() {}
 void Daemon::stop() {}

@@ -2,10 +2,13 @@
 //
 // Line protocol: clients write one request per line, the daemon answers
 // one response line per request on the same connection (any number of
-// round trips per connection; EOF ends it).  Threading is
-// thread-per-connection — simulation time dwarfs thread setup by orders
-// of magnitude, and the Service underneath already bounds concurrent
-// simulation work through its admission gate.
+// round trips per connection; EOF ends it).  Reads are buffered per
+// connection, and a request line longer than 1 MiB gets one error
+// response before the connection closes.  Threading is one thread per
+// live connection: a connection's thread is joined by the accept loop
+// once it finishes, so threads never accumulate over the daemon's life,
+// and the Service underneath bounds concurrent simulation work through
+// its admission gate.
 //
 // Lifecycle: start() binds (replacing any stale socket file), listens
 // and spawns the accept loop; a client's shutdown request — or a local
@@ -18,9 +21,11 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 namespace gearsim::serve {
@@ -63,7 +68,7 @@ class Daemon {
 
  private:
   void accept_loop();
-  void serve_connection(int fd);
+  void serve_connection(std::uint64_t id, int fd);
 
   Service& service_;
   Options options_;
@@ -71,9 +76,11 @@ class Daemon {
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
-  std::mutex mutex_;  // Guards connections_ and the stop cv.
+  std::mutex mutex_;  // Guards the connection fields and the stop cv.
   std::condition_variable stopped_cv_;
-  std::vector<std::thread> connections_;
+  std::unordered_map<std::uint64_t, std::thread> connections_;
+  std::vector<std::uint64_t> finished_ids_;  // Done, not yet joined.
+  std::uint64_t next_connection_id_ = 0;
 };
 
 }  // namespace gearsim::serve

@@ -13,43 +13,44 @@ namespace gearsim::sim {
 
 Process::Process(Engine& engine, std::string name,
                  std::function<void(Process&)> body)
-    : engine_(engine), name_(std::move(name)), body_(std::move(body)) {}
+    : engine_(engine),
+      name_(std::move(name)),
+      body_(std::move(body)),
+      fiber_(&Process::run_body, this) {}
 
-Process::~Process() {
-  // Engine::~Engine terminates live processes before destroying them; by
-  // the time we get here the thread has either finished or never started.
-  if (thread_.joinable()) thread_.join();
-}
+// Engine::terminate_processes runs before the engine destroys its
+// processes, so by now the fiber has either finished or never started.
+Process::~Process() = default;
 
 Seconds Process::now() const { return engine_.now(); }
 
-void Process::start_thread() {
-  thread_ = std::thread([this] {
-    // Wait for the first resume() before touching simulation state.
-    run_sem_.acquire();
-    if (!terminate_requested_) {
-      try {
-        state_ = State::kRunning;
-        body_(*this);
-      } catch (const ProcessTerminated&) {
-        // Engine teardown: unwind silently.
-      } catch (...) {
-        error_ = std::current_exception();
-      }
-    }
-    state_ = State::kFinished;
-    done_sem_.release();
-  });
+void Process::run_body(void* self) {
+  auto& process = *static_cast<Process*>(self);
+  try {
+    process.state_ = State::kRunning;
+    process.body_(process);
+  } catch (const ProcessTerminated&) {
+    // Engine teardown: unwind silently.
+  } catch (...) {
+    process.engine_.process_error_ = std::current_exception();
+  }
+  // Outside the handler: the fiber must not switch out of a catch block.
+  process.state_ = State::kFinished;
 }
 
-void Process::resume() {
-  run_sem_.release();
-  done_sem_.acquire();
+void Process::resume() { fiber_.switch_in(); }
+
+void Process::require_suspendable() {
+  // The runtime's caught-exception stack and uncaught count are per
+  // thread; a fiber that switched out with entries on them would hand
+  // them to the engine and to every other process.
+  GEARSIM_REQUIRE(std::uncaught_exceptions() == 0 && !std::current_exception(),
+                  "a process may not suspend while an exception unwinds or "
+                  "inside a catch block");
 }
 
 void Process::yield_to_engine() {
-  done_sem_.release();
-  run_sem_.acquire();
+  fiber_.switch_out();
   if (terminate_requested_) throw ProcessTerminated{};
   state_ = State::kRunning;
 }
@@ -57,6 +58,7 @@ void Process::yield_to_engine() {
 void Process::delay(Seconds d) {
   GEARSIM_REQUIRE(state_ == State::kRunning, "delay() outside process body");
   GEARSIM_REQUIRE(d.value() >= 0.0, "negative delay");
+  require_suspendable();
   state_ = State::kDelayed;
   engine_.schedule_after(d, [this] { resume(); });
   yield_to_engine();
@@ -64,6 +66,7 @@ void Process::delay(Seconds d) {
 
 void Process::block() {
   GEARSIM_REQUIRE(state_ == State::kRunning, "block() outside process body");
+  require_suspendable();
   state_ = State::kBlocked;
   yield_to_engine();
 }
@@ -85,7 +88,11 @@ void Process::wake(EventBatch& into) {
 void Process::terminate() {
   if (state_ == State::kFinished) return;
   terminate_requested_ = true;
-  resume();  // releases run_sem; thread unwinds and releases done_sem.
+  if (fiber_.started()) {
+    resume();  // The pending delay()/block() throws ProcessTerminated.
+  } else {
+    state_ = State::kFinished;  // Never ran: there is nothing to unwind.
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -111,7 +118,7 @@ void Engine::set_metrics(obs::MetricsRegistry* metrics) {
 }
 
 void Engine::terminate_processes() {
-  // Unwind the process threads first — their stack destructors may
+  // Unwind the process stacks first — their stack destructors may
   // schedule or reference nothing, but they must not observe a
   // half-destroyed queue — then destroy the dropped pending events while
   // the objects their captures reference (world, meters, stack locals of
@@ -122,6 +129,8 @@ void Engine::terminate_processes() {
   // callables finally died.
   for (auto& p : processes_) p->terminate();
   queue_.clear();
+  // A body that threw while unwinding is not a run failure.
+  process_error_ = nullptr;
 }
 
 void Engine::schedule_at(Seconds t, EventFn fn) {
@@ -173,7 +182,6 @@ Process& Engine::spawn(std::string name, std::function<void(Process&)> body) {
   auto proc = std::unique_ptr<Process>(
       new Process(*this, std::move(name), std::move(body)));
   Process& ref = *proc;
-  ref.start_thread();
   ref.state_ = Process::State::kReady;
   schedule_at(now_, [&ref] { ref.resume(); });
   processes_.push_back(std::move(proc));
@@ -186,7 +194,6 @@ Process& Engine::spawn(std::string name, std::function<void(Process&)> body,
   auto proc = std::unique_ptr<Process>(
       new Process(*this, std::move(name), std::move(body)));
   Process& ref = *proc;
-  ref.start_thread();
   ref.state_ = Process::State::kReady;
   into.add(now_, [&ref] { ref.resume(); });
   processes_.push_back(std::move(proc));
@@ -232,11 +239,8 @@ void Engine::check_deadlock() const {
 }
 
 void Engine::rethrow_process_error() {
-  for (auto& p : processes_) {
-    if (p->error_) {
-      const std::exception_ptr err = std::exchange(p->error_, nullptr);
-      std::rethrow_exception(err);
-    }
+  if (process_error_) {
+    std::rethrow_exception(std::exchange(process_error_, nullptr));
   }
 }
 

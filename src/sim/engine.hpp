@@ -2,11 +2,11 @@
 //
 // The engine owns simulated time and an event queue.  Simulation actors
 // (MPI ranks, power-meter samplers) are either plain timed callbacks or
-// *processes*: user functions running on their own OS thread that the
-// engine resumes one at a time.  Exactly one thread — the engine or a
-// single process — executes at any instant, handing control back and forth
-// through semaphores, so no simulation state needs locking and every run
-// is deterministic.
+// *processes*: user functions running as stackful fibers (sim/fiber.hpp)
+// on the thread that runs the engine.  Resuming a process is one stack
+// switch into it and a suspension is one switch back, so exactly one of
+// the engine or a single process executes at any instant, no simulation
+// state needs locking and every run is deterministic.
 //
 // Processes let workload skeletons be written as ordinary blocking code
 // (compute / mpi.send / mpi.recv ...), mirroring how real MPI programs
@@ -16,13 +16,12 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <semaphore>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fiber.hpp"
 #include "util/assert.hpp"
 #include "util/hash.hpp"
 #include "util/units.hpp"
@@ -44,11 +43,14 @@ class Process {
   ~Process();
 
   /// Suspend for `d` of simulated time.  Must be called from the process's
-  /// own body.
+  /// own body, and neither while an exception unwinds nor inside a catch
+  /// block (the C++ runtime's caught-exception stack is per thread, and
+  /// every process shares the engine's thread).
   void delay(Seconds d);
 
   /// Suspend indefinitely until another actor calls wake().  Used by the
-  /// MPI layer to park a rank inside a blocking call.
+  /// MPI layer to park a rank inside a blocking call.  Same preconditions
+  /// as delay().
   void block();
 
   /// Make a blocked process runnable again at the current simulated time.
@@ -72,10 +74,14 @@ class Process {
   friend class Engine;
   Process(Engine& engine, std::string name, std::function<void(Process&)> body);
 
-  void start_thread();
-  /// Engine-side: hand control to the process, wait until it yields.
+  /// Fiber entry: run the body, recording a failure on the engine.
+  static void run_body(void* self);
+  /// Throws ContractError when suspending now would corrupt the thread's
+  /// exception state (see delay()).
+  static void require_suspendable();
+  /// Engine-side: switch into the process until it suspends or finishes.
   void resume();
-  /// Process-side: hand control back to the engine.
+  /// Process-side: switch back to the engine.
   void yield_to_engine();
   /// Engine-side: request cooperative termination of a live process.
   void terminate();
@@ -85,14 +91,13 @@ class Process {
   std::function<void(Process&)> body_;
   State state_ = State::kCreated;
   bool terminate_requested_ = false;
-  std::exception_ptr error_;
-  std::binary_semaphore run_sem_{0};
-  std::binary_semaphore done_sem_{0};
-  std::thread thread_;
+  Fiber fiber_;
 };
 
-/// Exception used internally to unwind a process thread when the engine is
-/// torn down before the process body finished.  Never escapes the library.
+/// Exception used internally to unwind a suspended process's stack when
+/// the engine terminates it before its body finished: the process's
+/// pending delay()/block() throws it, the frames' destructors run, and
+/// the fiber's entry catches it.  Never escapes the library.
 struct ProcessTerminated {};
 
 class Engine {
@@ -140,7 +145,8 @@ class Engine {
 
   /// Run until the event queue drains.  Throws SimulationError if
   /// processes remain blocked with no pending events (deadlock), and
-  /// rethrows the first exception raised inside any process body.
+  /// rethrows an exception raised inside a process body right after the
+  /// event that resumed it.
   void run();
 
   /// Run until simulated time would exceed `t`; pending events at later
@@ -164,10 +170,12 @@ class Engine {
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
   /// Cooperatively unwind every live process now (idempotent; the
-  /// destructor calls it too).  When aborting a run, call this while the
-  /// objects the process bodies reference are still alive — stack
-  /// unwinding in the process threads runs destructors that may touch
-  /// them, and the pending events dropped from the queue hold pooled
+  /// destructor calls it too).  A suspended process is resumed once with
+  /// ProcessTerminated thrown from its delay()/block(); one that never
+  /// ran is marked finished without running its body.  When aborting a
+  /// run, call this while the objects the process bodies reference are
+  /// still alive — unwinding the process stacks runs destructors that may
+  /// touch them, and the pending events dropped from the queue hold pooled
   /// callables whose captures may too, so the queue is cleared here (at a
   /// point where the referents are guaranteed alive) rather than at
   /// ~Engine, which runs after members declared later — and, for a
@@ -230,6 +238,8 @@ class Engine {
   void rethrow_process_error();
 
   EventQueue queue_;
+  /// Set by a process body that threw; rethrown after the event that ran it.
+  std::exception_ptr process_error_;
   Seconds now_{0.0};
   EventPedigree current_pedigree_{};
   std::vector<std::unique_ptr<Process>> processes_;

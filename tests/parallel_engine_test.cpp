@@ -195,6 +195,48 @@ TEST(ParallelEngine, ErrorSurfacesFromLowestPartition) {
   }
 }
 
+TEST(ParallelEngine, ProcessBodyErrorSurfacesFromTheRun) {
+  // A process body that throws on a worker thread fails the parallel run
+  // with its own exception; the survivors unwind at destruction.
+  for (const int threads : {1, 2}) {
+    ParallelEngine group(2, kLookahead, threads);
+    group.partition(0).spawn("slow", [](Process& p) {
+      for (int i = 0; i < 100; ++i) p.delay(milliseconds(1.0));
+    });
+    group.partition(1).spawn("boom", [](Process& p) {
+      for (int i = 0; i < 5; ++i) p.delay(milliseconds(1.0));
+      throw std::runtime_error("rank boom");
+    });
+    try {
+      group.run();
+      FAIL() << "expected the process error to propagate";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "rank boom");
+    }
+  }
+}
+
+TEST(ParallelEngine, ProcessSuspendedOnAWorkerUnwindsFromTheCaller) {
+  // The process last ran on a pool worker; terminate_processes resumes
+  // it on the calling thread, which is safe because no state is
+  // thread-local.
+  bool unwound = false;
+  struct Sentinel {
+    bool* flag;
+    ~Sentinel() { *flag = true; }
+  };
+  ParallelEngine group(2, kLookahead, 2);
+  group.partition(1).spawn("parked", [&](Process& p) {
+    const Sentinel s{&unwound};
+    for (int i = 0; i < 3; ++i) p.delay(milliseconds(2.0));
+    p.block();
+  });
+  EXPECT_THROW(group.run(), SimulationError);
+  EXPECT_FALSE(unwound);
+  group.terminate_processes();
+  EXPECT_TRUE(unwound);
+}
+
 TEST(ParallelEngine, DetectsCrossPartitionDeadlock) {
   ParallelEngine group(2, kLookahead);
   group.partition(0).spawn("stuck", [](Process& p) { p.block(); });

@@ -13,6 +13,13 @@
 // AF_UNIX transport end to end.  See docs/SERVICE.md.
 #include <gtest/gtest.h>
 
+#if defined(__unix__) || defined(__APPLE__)
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+#endif
+
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -627,6 +634,135 @@ TEST(DaemonTest, OneConnectionCanCarryManyRequests) {
                 "type")
                 .as_string(),
             "stats");
+  daemon.request_stop();
+  daemon.stop();
+}
+
+/// Connect to `socket`, write `payload` (half-closing the write side when
+/// `close_write`), and collect response lines until EOF.
+std::vector<std::string> raw_exchange(const std::string& socket,
+                                      const std::string& payload,
+                                      bool close_write) {
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, socket.c_str(), socket.size() + 1);
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  // A daemon that never answers fails the test instead of hanging it.
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  std::size_t sent = 0;
+  while (sent < payload.size()) {
+    const ssize_t n =
+        ::send(fd, payload.data() + sent, payload.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;  // The daemon may close early on an over-long line.
+    sent += static_cast<std::size_t>(n);
+  }
+  if (close_write) ::shutdown(fd, SHUT_WR);
+  std::string received;
+  char buffer[4096];
+  for (;;) {
+    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
+    if (n <= 0) break;
+    received.append(buffer, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  std::vector<std::string> lines;
+  std::size_t begin = 0;
+  for (std::size_t nl; (nl = received.find('\n', begin)) != std::string::npos;
+       begin = nl + 1) {
+    lines.push_back(received.substr(begin, nl - begin));
+  }
+  return lines;
+}
+
+TEST(DaemonTest, PipelinedLinesOnOneConnectionEachGetAnAnswer) {
+  // Several requests in one write: the buffered reader must keep the
+  // bytes past each newline for the next request on the connection, and
+  // answer an unterminated final line at EOF.
+  const TempDir dir("daemonpipe");
+  const std::string socket = (dir.path / "s.sock").string();
+  Service service(memory_only_options());
+  Daemon daemon(service, {socket});
+  daemon.start();
+  const std::vector<std::string> lines = raw_exchange(
+      socket,
+      "{\"type\":\"stats\"}\n{\"type\":\"bogus\"}\n{\"type\":\"stats\"}",
+      true);
+  ASSERT_EQ(lines.size(), 3u);
+  const auto status = [](const std::string& line) {
+    return json::field(json::parse(line).as_object(), "status").as_string();
+  };
+  EXPECT_EQ(status(lines[0]), "ok");
+  EXPECT_EQ(status(lines[1]), "error");
+  EXPECT_EQ(status(lines[2]), "ok");
+  daemon.request_stop();
+  daemon.stop();
+}
+
+TEST(DaemonTest, OverLongRequestLineGetsAnErrorAndTheDaemonKeepsServing) {
+  const TempDir dir("daemonlong");
+  const std::string socket = (dir.path / "s.sock").string();
+  Service service(memory_only_options());
+  Daemon daemon(service, {socket});
+  daemon.start();
+  // 2 MiB without a newline: past the 1 MiB line cap.
+  const std::vector<std::string> lines =
+      raw_exchange(socket, std::string(std::size_t{2} << 20, 'x'), false);
+  ASSERT_EQ(lines.size(), 1u);
+  const json::Object response = json::parse(lines[0]).as_object();
+  EXPECT_EQ(json::field(response, "status").as_string(), "error");
+  EXPECT_NE(json::field(response, "error").as_string().find("longer than"),
+            std::string::npos);
+  const Client client(socket);
+  EXPECT_EQ(json::field(
+                json::parse(client.request("{\"type\":\"stats\"}")).as_object(),
+                "status")
+                .as_string(),
+            "ok");
+  daemon.request_stop();
+  daemon.stop();
+}
+
+/// One field of /proc/self/status (0 when absent or unreadable).
+long proc_status_field(const std::string& name) {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind(name + ":", 0) == 0) {
+      return std::stol(line.substr(name.size() + 1));
+    }
+  }
+  return 0;
+}
+
+/// Mappings in this process: every unjoined thread keeps its stack mapped.
+std::size_t mapping_count() {
+  std::ifstream in("/proc/self/maps");
+  std::size_t n = 0;
+  for (std::string line; std::getline(in, line);) ++n;
+  return n;
+}
+
+TEST(DaemonTest, FinishedConnectionThreadsAreReaped) {
+  const TempDir dir("daemonreap");
+  const std::string socket = (dir.path / "s.sock").string();
+  Service service(memory_only_options());
+  Daemon daemon(service, {socket});
+  daemon.start();
+  const Client client(socket);
+  (void)client.request("{\"type\":\"stats\"}");
+  const long threads_before = proc_status_field("Threads");
+  const std::size_t maps_before = mapping_count();
+  for (int i = 0; i < 500; ++i) (void)client.request("{\"type\":\"stats\"}");
+  EXPECT_GT(threads_before, 0);
+  EXPECT_LE(proc_status_field("Threads"), threads_before + 2);
+  // Unjoined threads would leave 500 stacks (1000 mappings) behind.
+  EXPECT_LE(mapping_count(), maps_before + 16);
   daemon.request_stop();
   daemon.stop();
 }
