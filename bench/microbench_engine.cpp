@@ -21,13 +21,11 @@
 #include <iostream>
 #include <new>
 #include <string>
-#include <vector>
 
 #include "cluster/experiment.hpp"
 #include "harness.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
-#include "sim/parallel_engine.hpp"
 #include "workloads/jacobi.hpp"
 
 // --- instrumented global allocator -----------------------------------------
@@ -137,78 +135,21 @@ int run(bench::BenchContext& ctx) {
                static_cast<double>(engine.pool_fallback_allocs()));
   }
 
-  // --- threaded window throughput: 1000 simulated nodes -------------------
-  // The conservative parallel engine (sim::ParallelEngine, 4 partitions)
-  // against the same 1000-actor population on one partition.  Wall-clock
-  // throughput and speedup land in the wall section (machine-dependent,
-  // never gated; a single-core runner reports speedup <= 1).  The gated
-  // metrics are the determinism contract: both variants must execute the
-  // identical event population — equal totals and equal order-independent
-  // set hashes — and the parallel window count is an exact function of
-  // the scenario.
+  // --- single-process delay chain -----------------------------------------
+  // One process delaying with nothing else pending, so every delay is the
+  // next event: the cost of a process suspending for simulated time on
+  // its own.  Wall only (machine-dependent, never gated).
   {
-    struct Node {
-      sim::ParallelEngine* group = nullptr;
-      sim::Engine* eng = nullptr;
-      std::size_t partition = 0;
-      int index = 0;
-      Seconds step{};
-      Seconds lookahead{};
-      Seconds end{};
-      void fire(Seconds now) {
-        if (index % 16 == 0) {
-          // Cross-partition traffic at exactly the conservative bound.
-          const std::size_t to = (partition + 1) % group->partitions();
-          group->post(*eng, to, now + lookahead, [] {});
-        }
-        const Seconds next = now + step;
-        if (next < end) eng->schedule_at(next, [this, next] { fire(next); });
-      }
-    };
-    struct ActorStats {
-      std::uint64_t events = 0;
-      std::uint64_t set_hash = 0;
-      std::uint64_t windows = 0;
-    };
-    const auto run_actors = [](std::size_t partitions, int threads) {
-      constexpr int kNodes = 1000;
-      const Seconds lookahead = microseconds(80.0);
-      const Seconds step = microseconds(25.0);
-      const Seconds end = milliseconds(10.0);  // 400 steps per actor.
-      sim::ParallelEngine group(partitions, lookahead, threads);
-      std::vector<Node> actors(kNodes);
-      for (int a = 0; a < kNodes; ++a) {
-        const std::size_t p = static_cast<std::size_t>(a) * partitions /
-                              static_cast<std::size_t>(kNodes);
-        Node& node = actors[static_cast<std::size_t>(a)];
-        node = Node{&group, &group.partition(p), p, a,
-                    step,   lookahead,           end};
-        const Seconds start = microseconds(static_cast<double>(a % 16));
-        group.partition(p).schedule_at(start,
-                                       [&node, start] { node.fire(start); });
-      }
-      group.run();
-      return ActorStats{group.events_executed(), group.event_set_hash(),
-                        group.windows()};
-    };
-    const ActorStats serial = run_actors(1, 1);
-    const ActorStats parallel = run_actors(4, 4);
-    const double serial_secs = bench::time_op([&] { run_actors(1, 1); });
-    const double parallel_secs = bench::time_op([&] { run_actors(4, 4); });
-    const auto events = static_cast<double>(parallel.events);
-    ctx.wall_metric("engine.window.serial_events_per_sec",
-                    events / serial_secs);
-    ctx.wall_metric("engine.window.parallel_events_per_sec",
-                    events / parallel_secs);
-    ctx.wall_metric("engine.window.speedup", serial_secs / parallel_secs);
-    ctx.metric("engine.window.events_total", events);
-    ctx.metric("engine.window.set_hash_matches_serial",
-               parallel.set_hash == serial.set_hash ? 1.0 : 0.0);
-    ctx.metric("engine.window.parallel_windows",
-               static_cast<double>(parallel.windows));
-    std::cout << "window throughput: serial " << events / serial_secs
-              << " events/sec, parallel(4) " << events / parallel_secs
-              << " events/sec\n";
+    constexpr int kDelays = 100'000;
+    const double secs = bench::time_op([] {
+      sim::Engine engine;
+      engine.spawn("chain", [](sim::Process& p) {
+        for (int i = 0; i < kDelays; ++i) p.delay(microseconds(1.0));
+      });
+      engine.run();
+    });
+    ctx.wall_metric("engine.delay_chain.ns_per_delay", secs / kDelays * 1e9);
+    std::cout << "delay chain: " << secs / kDelays * 1e9 << " ns/delay\n";
   }
 
   // --- fallback allocations across a real experiment ---------------------
@@ -221,10 +162,6 @@ int run(bench::BenchContext& ctx) {
     obs::MetricsRegistry registry;
     cluster::RunOptions options;
     options.metrics = &registry;
-    // The gated order hash is a serial-engine fingerprint; pin the mode
-    // against any ambient GEARSIM_ENGINE_THREADS (attached metrics force
-    // the serial path anyway — this makes the pin explicit).
-    options.engine_threads = 1;
     const cluster::RunResult r = runner.run(jacobi, 8, options);
     keep(r.wall);
     ctx.metric("jacobi8.pool_fallback_allocs",

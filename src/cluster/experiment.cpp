@@ -115,45 +115,6 @@ RunResult ExperimentRunner::run(const Workload& workload, int nodes,
   GEARSIM_REQUIRE(workload.supports(nodes),
                   "workload does not support this node count");
 
-  // Conservative-parallel-engine dispatch.  The parallel path is a pure
-  // optimization: it must reproduce the serial run's physics exactly, so
-  // any feature it cannot reproduce falls back to serial silently.
-  //   * policy runs: DvfsDriver observers mutate shared policy state from
-  //     MPI-call context (concurrent across partitions);
-  //   * sampled power: multimeter periodic events interleave with rank
-  //     events in one global order;
-  //   * attached metrics: the registry is not synchronized;
-  //   * abort-mode crash plans: NodeFailure must unwind at one globally
-  //     ordered instant (compose-mode plans are fine — crashes are folded
-  //     analytically after a solid run);
-  //   * jittered (or zero-latency) networks: no sound lookahead.
-  // Lossy-link plans are eligible: Network keys each transfer's loss
-  // draws by (src, per-source ordinal), and the barrier replay preserves
-  // per-source transfer order, so the parallel realization is identical
-  // to serial even when the global interleaving differs.
-  // One ineligibility is only discoverable mid-run: a rendezvous send
-  // (message above the eager threshold) crossing a partition boundary.
-  // The parallel run aborts with ParallelUnsupportedError before any
-  // output is observable, and the serial path below reruns it exactly.
-  if (policy == nullptr) {
-    const int engine_threads = resolve_engine_threads(options.engine_threads);
-    const faults::FaultPlan* fault_plan = options.faults;
-    const bool any_faults = fault_plan != nullptr && !fault_plan->empty();
-    const bool abort_mode_crashes = any_faults &&
-                                    !fault_plan->checkpointing().has_value() &&
-                                    !fault_plan->crashes().empty();
-    if (engine_threads >= 2 && nodes >= 2 && !config_.sample_power &&
-        options.metrics == nullptr && !abort_mode_crashes &&
-        config_.network.latency_jitter == 0.0 &&
-        config_.network.latency.value() > 0.0) {
-      try {
-        return run_parallel(workload, nodes, options, engine_threads);
-      } catch (const sim::ParallelUnsupportedError&) {
-        // Fall through to the serial oracle.
-      }
-    }
-  }
-
   const cpu::CpuModel cpu_model(config_.cpu, config_.gears);
   const cpu::PowerModel power_model(config_.power, config_.gears);
 
@@ -438,169 +399,6 @@ RunResult ExperimentRunner::run(const Workload& workload, int nodes,
 
   // Time-weighted cluster means of active/idle power: the paper's P_g and
   // I_g probes when the run executes at a single gear.
-  Seconds active_time{};
-  Seconds idle_time{};
-  for (int r = 0; r < nodes; ++r) {
-    const auto& ne = meter.node(static_cast<std::size_t>(r));
-    result.node_energy.push_back(ne);
-    active_time += ne.active_time;
-    idle_time += ne.idle_time;
-  }
-  result.mean_active_power = active_time.value() > 0.0
-                                 ? result.active_energy / active_time
-                                 : Watts{};
-  result.mean_idle_power =
-      idle_time.value() > 0.0 ? result.idle_energy / idle_time : Watts{};
-  return result;
-}
-
-RunResult ExperimentRunner::run_parallel(const Workload& workload, int nodes,
-                                         const RunOptions& options,
-                                         int threads) const {
-  // Eligibility was established by run(): uniform gear (no policy), no
-  // sampled power, no metrics registry, no abort-mode crash plan, and a
-  // deterministic positive-latency network.
-  const std::size_t gear_index = options.gear_index;
-  const cpu::CpuModel cpu_model(config_.cpu, config_.gears);
-  const cpu::PowerModel power_model(config_.power, config_.gears);
-
-  net::Network network(config_.network, static_cast<std::size_t>(nodes));
-  const Seconds lookahead = network.conservative_lookahead();
-  const std::size_t partitions = std::min<std::size_t>(
-      static_cast<std::size_t>(threads), static_cast<std::size_t>(nodes));
-  sim::ParallelEngine group(partitions, lookahead, threads);
-  mpi::World world(group.partition(0), network, nodes, config_.mpi);
-  trace::Tracer tracer(static_cast<std::size_t>(nodes));
-  world.add_observer(&tracer);
-  power::EnergyMeter meter(static_cast<std::size_t>(nodes));
-
-  // Fault layer, minus abort-mode crashes (ineligible).  Straggler
-  // queries are const, link-fault realization happens inside
-  // network.transfer — which partitioned mode runs only at the window
-  // barrier, single-threaded — and compose-mode crashes are folded
-  // analytically below, so the whole layer is race-free here.
-  const faults::FaultPlan* plan = options.faults;
-  const bool has_faults = plan != nullptr && !plan->empty();
-  const bool compose_mode = has_faults && plan->checkpointing().has_value();
-  trace::FaultLog fault_log;
-  std::unique_ptr<faults::FaultInjector> injector;
-  if (has_faults) {
-    injector = std::make_unique<faults::FaultInjector>(
-        *plan, network, static_cast<std::size_t>(nodes), config_.gears.size(),
-        &fault_log);
-    if (compose_mode) meter.enable_profile_recording();
-  }
-
-  Rng run_rng(config_.seed);
-  std::vector<Seconds> finish(static_cast<std::size_t>(nodes));
-  std::vector<std::uint64_t> switches(static_cast<std::size_t>(nodes), 0);
-  std::vector<std::vector<Seconds>> residency(static_cast<std::size_t>(nodes));
-
-  // Contiguous block partition: rank r runs on partition r*P/nodes, so
-  // neighbor exchanges (the dominant pattern) stay partition-local where
-  // possible.  Per-partition start batches keep each partition's rank
-  // start order — and hence its local seq assignment — in loop order,
-  // and the RNG forks happen in the exact serial loop order, so every
-  // rank's penalty matches the serial run bit for bit.
-  std::vector<sim::EventBatch> start_batches(partitions);
-  for (int r = 0; r < nodes; ++r) {
-    const auto node = static_cast<std::size_t>(r);
-    const std::size_t part = node * partitions / static_cast<std::size_t>(nodes);
-    Rng rank_rng = run_rng.fork(static_cast<std::uint64_t>(r));
-    const double penalty =
-        1.0 + config_.load_imbalance * (2.0 * rank_rng.uniform() - 1.0);
-    sim::Process& proc = group.partition(part).spawn(
-        "rank" + std::to_string(r),
-        [&, r, node, penalty, rank_rng](sim::Process& self) {
-          meter.set_power(node, self.now(), power_model.idle_power(gear_index),
-                          power::NodeState::kIdle);
-          RankContext ctx(mpi::Comm(world, r), cpu_model, power_model, meter,
-                          gear_index, penalty, rank_rng,
-                          config_.gear_switch_latency);
-          if (injector != nullptr && injector->throttles()) {
-            ctx.set_gear_throttle(injector.get());
-          }
-          workload.run(ctx);
-          finish[node] = self.now();
-          switches[node] = ctx.gear_switches();
-          ctx.finalize_residency();
-          residency[node] = ctx.gear_residency();
-        },
-        start_batches[part]);
-    world.bind_rank(r, proc);
-  }
-  for (std::size_t p = 0; p < partitions; ++p) {
-    if (!start_batches[p].empty()) {
-      group.partition(p).schedule_batch(start_batches[p]);
-    }
-  }
-  world.enable_partitioned(group);
-  group.set_barrier_hook([&world] { world.apply_deferred_transfers(); });
-
-  group.run();
-
-  const Seconds wall = *std::max_element(finish.begin(), finish.end());
-  meter.finish(wall);
-
-  RunResult result;
-  result.nodes = nodes;
-  result.gear_index = gear_index;
-  result.gear_min_index = gear_index;
-  result.gear_max_index = gear_index;
-  result.gear_label = config_.gears.gear(gear_index).label;
-  result.wall = wall;
-  result.energy = meter.total_energy();
-  result.active_energy = meter.total_active_energy();
-  result.idle_energy = meter.total_idle_energy();
-  result.breakdown = trace::analyze_cluster(tracer, Seconds{}, wall);
-  result.mpi_calls = world.traced_calls();
-  // Parallel mode has no defined global dispatch order, so the order
-  // hash is reported as 0; the order-independent set hash carries the
-  // determinism probe and must equal the serial oracle's.
-  result.event_order_hash = 0;
-  result.event_set_hash = group.event_set_hash();
-  result.engine_partitions = group.partitions();
-  result.engine_windows = group.windows();
-  result.messages = network.messages_carried();
-  result.net_bytes = network.bytes_carried();
-  result.retransmissions = network.retransmissions();
-  for (std::uint64_t s : switches) result.gear_switches += s;
-  result.gear_residency = std::move(residency);
-  if (compose_mode) {
-    // Identical fold to the serial path: the engine simulated one solid
-    // run, crashes are composed analytically through the restart model.
-    const faults::EnergyProfile profile =
-        faults::EnergyProfile::from_meter(meter);
-    const faults::RestartStats stats = faults::compose_restarts(
-        wall, profile, static_cast<std::size_t>(nodes), *plan->checkpointing(),
-        plan->crashes(), &fault_log);
-    result.wall = stats.wall;
-    result.energy = stats.energy;
-    result.retries = stats.retries;
-    result.rework_time = stats.rework_time;
-    result.rework_energy = stats.rework_energy;
-    result.checkpoint_time = stats.checkpoint_time;
-    result.checkpoint_energy = stats.checkpoint_energy;
-    if (!stats.completed) {
-      result.outcome = RunOutcome::kFailed;
-      result.fatal_crash =
-          faults::CrashEvent{stats.failed_node, stats.failed_at};
-    } else if (stats.retries > 0) {
-      result.outcome = RunOutcome::kCompletedAfterRestart;
-    }
-  }
-  if (!options.trace_csv_path.empty()) {
-    trace::export_csv_file(tracer, options.trace_csv_path, fault_log);
-  }
-  if (!options.timeline_svg_path.empty()) {
-    trace::write_timeline(tracer, wall,
-                           workload.name() + " on " + std::to_string(nodes) +
-                               " nodes (gear " +
-                               std::to_string(result.gear_label) + ")",
-                           options.timeline_svg_path, fault_log);
-  }
-  result.fault_events = std::move(fault_log);
-  result.node_energy.reserve(static_cast<std::size_t>(nodes));
   Seconds active_time{};
   Seconds idle_time{};
   for (int r = 0; r < nodes; ++r) {

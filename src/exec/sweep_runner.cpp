@@ -36,7 +36,6 @@ cluster::RunResult SweepRunner::simulate_point(
   run_options.gear_index = p.gear_index;
   run_options.faults = options_.faults;
   run_options.metrics = point_metrics;
-  run_options.engine_threads = options_.engine_threads;
   // A fresh policy instance per point: adaptive controllers carry
   // per-run state, and concurrent workers must never share one.
   std::unique_ptr<cluster::GearPolicy> policy;

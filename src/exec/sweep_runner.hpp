@@ -58,12 +58,6 @@ struct SweepOptions {
   /// profiling enabled, per-point wall durations and pool utilization
   /// are recorded too (kWall domain, never deterministic).
   obs::MetricsRegistry* metrics = nullptr;
-  /// Engine threads per simulated point (cluster::RunOptions::
-  /// engine_threads; 0 = the GEARSIM_ENGINE_THREADS default).  Engine
-  /// mode is an execution detail, not part of a point's identity: it
-  /// does not enter the cache key, so entries written by a serial run
-  /// are served to parallel-engine sweeps and vice versa.
-  int engine_threads = 0;
 };
 
 class SweepRunner {

@@ -104,18 +104,6 @@ Request Comm::isend_impl(Rank dst, int tag, Bytes bytes) {
   detail::Envelope env{rank_, tag, bytes, context_, nullptr};
   Request req;
   if (bytes > world_.params().eager_threshold) {
-    // Rendezvous across partitions is unsupported in partitioned mode:
-    // the receiver's match would have to wake the sender with effectively
-    // zero lookahead (the ACK has no network delay in this model), which
-    // the conservative horizon cannot admit.  Same-partition rendezvous
-    // is fine — the wake stays partition-local.  The distinct exception
-    // type lets ExperimentRunner::run rerun the experiment serially.
-    if (world_.partitioned() && dst_world != world_rank_ &&
-        world_.partition_of(dst_world) != world_.partition_of(world_rank_)) {
-      throw sim::ParallelUnsupportedError(
-          "cross-partition rendezvous send (message above the eager "
-          "threshold) is not supported by the parallel engine; run serial");
-    }
     req.send_ = std::make_shared<detail::SendState>();
     env.send_state = req.send_;
   } else {
@@ -127,17 +115,12 @@ Request Comm::isend_impl(Rank dst, int tag, Bytes bytes) {
   // inside the rank's context) is gone — capture the World, which outlives
   // the whole engine run.
   World* world = &world_;
-  sim::Engine& engine = world_.engine_for(world_rank_);
+  sim::Engine& engine = world_.engine();
   if (dst_world == world_rank_) {
     // Self-message: no network involvement; deliver at the current time.
     engine.schedule_at(
         engine.now(),
         [world, dst_world, env] { world->deliver(dst_world, env); });
-  } else if (world_.partitioned()) {
-    // Defer the network reservation to the window barrier, where all
-    // partitions' transfers are applied serially in canonical order (see
-    // World::apply_deferred_transfers).  The delivery is posted there.
-    world_.defer_transfer(world_rank_, dst_world, bytes, engine.now(), env);
   } else {
     const Seconds arrival = world_.network().transfer(
         world_rank_, dst_world, bytes, engine.now());

@@ -1,7 +1,6 @@
 #include "mpi/world.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -117,93 +116,14 @@ sim::Process& World::process(Rank rank) {
   return *procs_[rank];
 }
 
-sim::Engine& World::engine_for(Rank rank) {
-  return group_ == nullptr ? engine_ : process(rank).engine();
-}
-
-void World::enable_partitioned(sim::ParallelEngine& group) {
-  GEARSIM_REQUIRE(group_ == nullptr, "world already partitioned");
-  GEARSIM_REQUIRE(group.lookahead() <= network_.conservative_lookahead(),
-                  "partition lookahead exceeds the network's sound bound");
-  for (Rank r = 0; r < size(); ++r) {
-    GEARSIM_REQUIRE(procs_[r] != nullptr,
-                    "enable_partitioned needs every rank bound first");
-  }
-  group_ = &group;
-  transfer_lanes_.resize(group.partitions());
-  wake_batches_.resize(group.partitions());
-  send_seq_.assign(static_cast<std::size_t>(size()), 0);
-}
-
-void World::defer_transfer(Rank src, Rank dst, Bytes bytes, Seconds inject,
-                           detail::Envelope env) {
-  DeferredTransfer d;
-  d.inject = inject;
-  d.sender = engine_for(src).current_event_pedigree();
-  d.src = src;
-  d.dst = dst;
-  d.bytes = bytes;
-  d.seq = send_seq_[static_cast<std::size_t>(src)]++;
-  d.env = std::move(env);
-  transfer_lanes_[partition_of(src)].push_back(std::move(d));
-}
-
-void World::apply_deferred_transfers() {
-  transfer_scratch_.clear();
-  for (auto& lane : transfer_lanes_) {
-    transfer_scratch_.insert(transfer_scratch_.end(),
-                             std::make_move_iterator(lane.begin()),
-                             std::make_move_iterator(lane.end()));
-    lane.clear();
-  }
-  if (transfer_scratch_.empty()) return;
-  // Canonical application order: (inject time, sender pedigree, source
-  // rank, per-source seq) — the order the serial engine would have
-  // reserved network resources in.  For equal inject times the serial
-  // order is the sends' insertion order, which is monotone in the
-  // sending events' pedigrees; (src, seq) only breaks the residual exact
-  // ties (see enable_partitioned's contract).
-  std::sort(transfer_scratch_.begin(), transfer_scratch_.end(),
-            [](const DeferredTransfer& a, const DeferredTransfer& b) {
-              if (a.inject != b.inject) return a.inject < b.inject;
-              if (a.sender.birth != b.sender.birth) {
-                return a.sender.birth < b.sender.birth;
-              }
-              if (a.sender.parent != b.sender.parent) {
-                return a.sender.parent < b.sender.parent;
-              }
-              if (a.sender.grandparent != b.sender.grandparent) {
-                return a.sender.grandparent < b.sender.grandparent;
-              }
-              if (a.src != b.src) return a.src < b.src;
-              return a.seq < b.seq;
-            });
-  for (auto& d : transfer_scratch_) {
-    const Seconds arrival =
-        network_.transfer(static_cast<std::size_t>(d.src),
-                          static_cast<std::size_t>(d.dst), d.bytes, d.inject);
-    const Rank dst = d.dst;
-    // The delivery's serial twin was inserted while the send event
-    // dispatched at the inject instant — so among simultaneous arrivals
-    // it must order as if born then, by that event, not at this barrier.
-    group_->post_at_barrier(
-        partition_of(dst), arrival,
-        [this, dst, env = std::move(d.env)]() mutable {
-          deliver(dst, std::move(env));
-        },
-        sim::EventPedigree{d.inject, d.sender.birth, d.sender.parent});
-  }
-  transfer_scratch_.clear();
-}
-
 void World::notify_enter(Rank rank, CallType t, Bytes bytes, Rank peer) {
-  traced_calls_.fetch_add(1, std::memory_order_relaxed);
-  const Seconds now = engine_for(rank).now();
+  ++traced_calls_;
+  const Seconds now = engine_.now();
   for (auto* obs : observers_) obs->on_enter(rank, t, now, bytes, peer);
 }
 
 void World::notify_exit(Rank rank, CallType t) {
-  const Seconds now = engine_for(rank).now();
+  const Seconds now = engine_.now();
   for (auto* obs : observers_) obs->on_exit(rank, t, now);
 }
 
@@ -233,13 +153,10 @@ void World::deliver(Rank dst, detail::Envelope env) {
   posted.erase(it);
   // Batch the wake chain: a rendezvous sender's wake (from complete_recv)
   // and the receiver's wake go to the queue in one operation, sender
-  // first — the order individual schedules produced.  In partitioned mode
-  // both parties live on dst's partition (cross-partition rendezvous is
-  // rejected at the send), so dst's engine and wake batch serve both.
-  sim::EventBatch& wakes = wake_batch_for(dst);
-  complete_recv(*op, env, wakes);
-  if (op->waiter != nullptr) op->waiter->wake(wakes);
-  if (!wakes.empty()) engine_for(dst).schedule_batch(wakes);
+  // first — the order individual schedules produced.
+  complete_recv(*op, env, wake_batch_);
+  if (op->waiter != nullptr) op->waiter->wake(wake_batch_);
+  if (!wake_batch_.empty()) engine_.schedule_batch(wake_batch_);
 }
 
 void World::post_recv(Rank dst, const std::shared_ptr<detail::RecvState>& op) {
@@ -249,10 +166,9 @@ void World::post_recv(Rank dst, const std::shared_ptr<detail::RecvState>& op) {
                                  return op->matches(env);
                                });
   if (it != queue.end()) {
-    sim::EventBatch& wakes = wake_batch_for(dst);
-    complete_recv(*op, *it, wakes);
+    complete_recv(*op, *it, wake_batch_);
     queue.erase(it);
-    if (!wakes.empty()) engine_for(dst).schedule_batch(wakes);
+    if (!wake_batch_.empty()) engine_.schedule_batch(wake_batch_);
     return;
   }
   posted_[dst].push_back(op);

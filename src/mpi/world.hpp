@@ -8,17 +8,14 @@
 // preserved by the FIFO NIC model in net::Network.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "net/network.hpp"
 #include "sim/engine.hpp"
-#include "sim/parallel_engine.hpp"
 #include "mpi/types.hpp"
 
 namespace gearsim::mpi {
@@ -82,64 +79,28 @@ class World {
   void add_observer(CallObserver* observer);
 
   /// Count of user-level (traced) MPI calls, for reports.
-  [[nodiscard]] std::uint64_t traced_calls() const {
-    return traced_calls_.load(std::memory_order_relaxed);
-  }
+  [[nodiscard]] std::uint64_t traced_calls() const { return traced_calls_; }
 
   /// The simulation process executing `rank`; bound via bind_rank.
   [[nodiscard]] sim::Process& process(Rank rank);
 
-  /// Route this world through a conservative parallel engine group: ranks
-  /// are bound to processes spawned on the group's partition engines, and
-  /// network transfers are *deferred* — collected in per-source-partition
-  /// lanes during each time window and applied at the window barrier,
-  /// serially, in canonical (inject time, sender pedigree, source rank,
-  /// per-source seq) order.  The pedigree keys are what make this the
-  /// serial reservation order even when distinct sources inject at the
-  /// exact same instant: a serial engine dispatches simultaneous sends
-  /// in insertion order, and insertion order is monotone in the sending
-  /// events' pedigrees (birth, parent birth, grandparent birth), so
-  /// sorting by them replays it (the determinism matrix test pins this
-  /// per workload).  Call after every
-  /// rank is bound; the group must outlive the run.  Requires
-  /// group.lookahead() <= the network's conservative_lookahead so
-  /// deferred arrivals always land at or beyond the window horizon.
-  void enable_partitioned(sim::ParallelEngine& group);
-  [[nodiscard]] bool partitioned() const { return group_ != nullptr; }
-
-  /// The engine executing `rank`: its partition engine when partitioned,
-  /// the world engine otherwise.
-  [[nodiscard]] sim::Engine& engine_for(Rank rank);
-
-  /// Apply every deferred transfer through the network in canonical
-  /// order and post the delivery events to the destination partitions.
-  /// Barrier-hook context only (single-threaded, between windows).
-  void apply_deferred_transfers();
-
  private:
   friend class Comm;
 
-  /// Fresh communicator context id (world is 0).  Callers hold
-  /// split_mutex_.
+  /// Fresh communicator context id (world is 0).
   int allocate_context() { return ++last_context_; }
 
   /// Comm::split rendezvous: each participant deposits its (color, key)
-  /// under a split id; after a barrier all entries are visible.  The
-  /// table is guarded by split_mutex_ — in partitioned mode different
-  /// ranks deposit concurrently from different partitions (the deposits
-  /// of *one* split id are still race-free data-wise: each lands before
-  /// that rank's barrier entry, and reads happen after the barrier).
+  /// under a split id; after a barrier all entries are visible.
   struct SplitEntry {
     int color = 0;
     int key = 0;
   };
   void deposit_split(std::uint64_t split_id, Rank rank, SplitEntry entry) {
-    const std::lock_guard<std::mutex> lock(split_mutex_);
     split_table_[split_id][rank] = entry;
   }
   [[nodiscard]] std::map<Rank, SplitEntry> split_entries(
       std::uint64_t split_id) {
-    const std::lock_guard<std::mutex> lock(split_mutex_);
     return split_table_[split_id];
   }
   std::map<std::uint64_t, std::map<Rank, SplitEntry>> split_table_;
@@ -147,7 +108,6 @@ class World {
   /// All members of one split group must agree on the new context id;
   /// the first to ask allocates, the rest read it back.
   int context_for(std::uint64_t split_id, int color) {
-    const std::lock_guard<std::mutex> lock(split_mutex_);
     const auto key = std::make_pair(split_id, color);
     const auto it = split_contexts_.find(key);
     if (it != split_contexts_.end()) return it->second;
@@ -156,44 +116,8 @@ class World {
     return ctx;
   }
   std::map<std::pair<std::uint64_t, int>, int> split_contexts_;
-  std::mutex split_mutex_;
   void notify_enter(Rank rank, CallType t, Bytes bytes, Rank peer);
   void notify_exit(Rank rank, CallType t);
-
-  /// Partition of `rank`'s engine (0 when serial).
-  [[nodiscard]] std::size_t partition_of(Rank rank) {
-    return group_ == nullptr ? 0 : process(rank).engine().partition_id();
-  }
-  /// The wake batch for deliveries running on `dst`'s partition.
-  [[nodiscard]] sim::EventBatch& wake_batch_for(Rank dst) {
-    return group_ == nullptr ? wake_batch_ : wake_batches_[partition_of(dst)];
-  }
-
-  /// One network transfer whose reservation is postponed to the window
-  /// barrier.  `sender` is the pedigree of the engine event that made
-  /// the send (Engine::current_event_pedigree at defer time): for
-  /// transfers injected at the same instant, serial reservation order is
-  /// the sends' dispatch order, which is their insertion order, which is
-  /// monotone in pedigree — so (inject, sender) replays it, including
-  /// the lock-step ties where two ranks' send events were born at the
-  /// same instant by same-aged parents (LU's wavefront does this: the
-  /// distinguishing message-arrival instant sits at grandparent depth,
-  /// delivery → wake → post-overhead send).  `seq` is the per-source
-  /// send counter: the final (src, seq) keys keep per-source FIFO for
-  /// any residual exact ties.
-  struct DeferredTransfer {
-    Seconds inject{};
-    sim::EventPedigree sender{};
-    Rank src = 0;
-    Rank dst = 0;
-    Bytes bytes = 0;
-    std::uint64_t seq = 0;
-    detail::Envelope env;
-  };
-  /// Queue a transfer from `src`'s partition context (single writer per
-  /// lane: the worker currently running that partition).
-  void defer_transfer(Rank src, Rank dst, Bytes bytes, Seconds inject,
-                      detail::Envelope env);
 
   /// Message arrival at `dst` (runs in engine context at arrival time).
   void deliver(Rank dst, detail::Envelope env);
@@ -211,22 +135,8 @@ class World {
   std::vector<std::deque<detail::Envelope>> unexpected_;
   std::vector<std::vector<std::shared_ptr<detail::RecvState>>> posted_;
   std::vector<CallObserver*> observers_;
-  /// Relaxed atomic: in partitioned mode every worker bumps it; only the
-  /// total matters (reports), never ordering.
-  std::atomic<std::uint64_t> traced_calls_{0};
+  std::uint64_t traced_calls_ = 0;
   int last_context_ = 0;
-  /// Partitioned-mode state (empty when serial).  transfer_lanes_ is one
-  /// lane per *source partition*: the worker running that partition is
-  /// the lane's only writer, and the barrier hook — single-threaded — is
-  /// the only reader.  send_seq_ is per world rank (single writer: the
-  /// rank's own engine context).
-  sim::ParallelEngine* group_ = nullptr;
-  std::vector<std::vector<DeferredTransfer>> transfer_lanes_;
-  std::vector<DeferredTransfer> transfer_scratch_;
-  std::vector<std::uint64_t> send_seq_;
-  /// Per-partition wake batches: the serial wake_batch_ reuse trick, one
-  /// instance per partition so concurrent deliveries never share one.
-  std::vector<sim::EventBatch> wake_batches_;
   /// Reusable wake batch for the delivery path: one message completion
   /// can wake a rendezvous sender *and* the receiver — batching submits
   /// both with a single queue operation (sender first, preserving the

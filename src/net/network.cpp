@@ -45,15 +45,7 @@ Network::Network(NetworkParams params, std::size_t num_nodes)
                   "negative or non-finite jitter");
   topology_ =
       Topology::make(params_.topology, num_nodes, params_.link_bandwidth);
-  if (topology_ == nullptr) {
-    min_path_latency_ = params_.latency;
-  } else {
-    link_sched_.resize(topology_->link_count());
-    min_path_latency_ =
-        params_.latency +
-        params_.topology.hop_latency *
-            static_cast<double>(topology_->min_path_links() - 1);
-  }
+  if (topology_ != nullptr) link_sched_.resize(topology_->link_count());
 }
 
 void Network::set_metrics(obs::MetricsRegistry* metrics) {
@@ -110,9 +102,7 @@ Seconds Network::latency_realization(std::size_t src, std::size_t dst,
     // (by `backoff`) per further loss; spikes multiply the wire latency.
     // Draws come from a stream keyed by this transfer's identity — the
     // (src, per-source ordinal) pair — so the realization is independent
-    // of how transfers from different sources interleave: the serial
-    // dispatch order and the parallel engine's barrier replay (which
-    // preserves per-source order only) produce identical losses.  The
+    // of how transfers from different sources interleave.  The
     // ordinal advances for every transfer while windows are installed,
     // matched or not, keeping the identity a pure function of the
     // per-source call sequence.
@@ -184,9 +174,8 @@ Seconds Network::routed_transfer(std::size_t src, std::size_t dst, Bytes bytes,
   GEARSIM_ENSURE(!path_scratch_.empty(), "routed path has no links");
 
   // Fold past count changes into each link's baseline.  transfer() calls
-  // arrive with non-decreasing `now` — serial dispatch is time-ordered
-  // and the parallel engine's barrier replay is sorted by inject time —
-  // so events at or before `now` can never matter again.
+  // arrive with non-decreasing `now` — dispatch is time-ordered — so
+  // events at or before `now` can never matter again.
   const std::size_t links = path_scratch_.size();
   cursor_scratch_.assign(links, 0);
   count_scratch_.resize(links);

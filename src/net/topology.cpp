@@ -29,8 +29,7 @@ std::string fmt_double(double v) {
 class FatTreeTopology final : public Topology {
  public:
   FatTreeTopology(const TopologyParams& params, std::size_t num_nodes,
-                  double nic_bandwidth)
-      : num_nodes_(num_nodes) {
+                  double nic_bandwidth) {
     const std::size_t levels = params.down.size();
     GEARSIM_REQUIRE(levels >= 1, "fat-tree needs at least one level");
     GEARSIM_REQUIRE(params.up.size() == levels &&
@@ -70,10 +69,6 @@ class FatTreeTopology final : public Topology {
                       "fat-tree link table too large");
     }
     link_count_ = next;
-    // Level of the smallest subtree that can hold two distinct hosts:
-    // hosts 0 and 1 merge there, and no distinct pair merges lower.
-    min_merge_ = 1;
-    while (min_merge_ <= levels && subtree_[min_merge_] < 2) ++min_merge_;
   }
 
   [[nodiscard]] std::size_t link_count() const override { return link_count_; }
@@ -107,11 +102,6 @@ class FatTreeTopology final : public Topology {
     }
   }
 
-  [[nodiscard]] std::size_t min_path_links() const override {
-    if (num_nodes_ < 2) return 1;
-    return 2 * min_merge_;
-  }
-
  private:
   [[nodiscard]] std::size_t trunk(std::size_t base, std::size_t level,
                                   std::size_t src, std::size_t dst,
@@ -120,14 +110,12 @@ class FatTreeTopology final : public Topology {
     return base + entity * fanout + (src + dst) % fanout;
   }
 
-  std::size_t num_nodes_;
   std::vector<std::size_t> subtree_;  ///< subtree_[l] = hosts per level-l tree.
   std::vector<int> up_;
   std::vector<std::size_t> up_base_;
   std::vector<std::size_t> down_base_;
   std::vector<double> capacity_;
   std::size_t link_count_ = 0;
-  std::size_t min_merge_ = 1;
 };
 
 // ---------------------------------------------------------------------------
@@ -187,12 +175,6 @@ class TorusTopology final : public Topology {
       }
       stride *= k;
     }
-  }
-
-  [[nodiscard]] std::size_t min_path_links() const override {
-    // Hosts 0 and 1 are adjacent: the first dimension of size >= 2 has
-    // stride 1 (all earlier dimensions are degenerate).
-    return 1;
   }
 
  private:

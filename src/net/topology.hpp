@@ -28,10 +28,8 @@
 // traversed, which for both shapes equals path links - 1.
 //
 // Determinism contract: route() is a pure function of (src, dst) — no
-// RNG, no load-dependent choices — so the serial engine and the
-// conservative parallel engine (which replays transfers in the serial
-// order at window barriers) drive the contention state through the
-// exact same link-schedule sequence.
+// RNG, no load-dependent choices — so the same transfer call sequence
+// always drives the contention state through the same link schedules.
 #pragma once
 
 #include <cstddef>
@@ -101,10 +99,6 @@ class Topology {
   /// Append the directed link path for one src -> dst transfer.
   virtual void route(std::size_t src, std::size_t dst,
                      std::vector<LinkId>* path) const = 0;
-  /// Fewest links on any src != dst routed path between live hosts —
-  /// the basis of Network::conservative_lookahead.  1 when fewer than
-  /// two hosts exist (no transfers can happen; any bound is sound).
-  [[nodiscard]] virtual std::size_t min_path_links() const = 0;
 
   /// Build the routing structure for `num_nodes` hosts.  `nic_bandwidth`
   /// is NetworkParams::link_bandwidth (host access links); trunk links

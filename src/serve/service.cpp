@@ -90,7 +90,6 @@ const exec::SweepSupervisor& Service::supervisor_for(const Request& request) {
     exec::SweepOptions sweep;
     sweep.jobs = options_.jobs;
     sweep.cache = &cache_;
-    sweep.engine_threads = options_.engine_threads;
     exec::SupervisorOptions sup;
     sup.max_attempts = 1 + std::max(0, options_.retries);
     cluster::ClusterConfig config = cluster_by_name(request.cluster);

@@ -98,8 +98,6 @@ struct ServiceOptions {
   bool preload = false;
   /// Worker threads per miss batch (exec::SweepOptions::jobs).
   int jobs = 0;
-  /// Engine threads per simulated point.
-  int engine_threads = 0;
   /// Extra attempts for transiently-failing points (supervisor
   /// max_attempts = 1 + retries).
   int retries = 0;

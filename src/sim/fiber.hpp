@@ -12,8 +12,8 @@
 //   - The stack is kStackSize bytes of MAP_NORESERVE memory above one
 //     PROT_NONE guard page, so an overflow faults instead of scribbling
 //     over a neighbour; pages are committed only as the fiber touches them.
-//   - A fiber may be resumed from a different thread than last time (the
-//     ParallelEngine's workers), which is safe because src/ has no
+//   - A fiber is resumed by whichever thread runs its engine, which need
+//     not be the thread that created it; that is safe because src/ has no
 //     thread_local state.
 //   - A fiber must not suspend while an exception is in flight or inside
 //     a catch block: the C++ runtime keeps its caught-exception stack per

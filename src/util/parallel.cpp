@@ -35,35 +35,6 @@ int resolve_jobs(int jobs) {
   return jobs;
 }
 
-namespace {
-
-int parse_positive_env(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return 1;
-  char* end = nullptr;
-  const long parsed = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || parsed < 1 ||
-      parsed > std::numeric_limits<int>::max()) {
-    return 1;
-  }
-  return static_cast<int>(parsed);
-}
-
-}  // namespace
-
-int default_engine_threads() {
-  return parse_positive_env("GEARSIM_ENGINE_THREADS");
-}
-
-int resolve_engine_threads(int threads) {
-  if (threads == 0) return default_engine_threads();
-  if (threads < 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : static_cast<int>(hw);
-  }
-  return threads;
-}
-
 void parallel_for_ordered(int jobs, std::size_t n,
                           const std::function<void(std::size_t)>& fn) {
   GEARSIM_REQUIRE(fn != nullptr, "parallel_for_ordered needs a body");

@@ -31,18 +31,6 @@ int default_jobs();
 /// means "use the hardware concurrency".
 int resolve_jobs(int jobs);
 
-/// Default worker count for the parallel DES engine (sim::ParallelEngine):
-/// the GEARSIM_ENGINE_THREADS environment variable when set to a positive
-/// integer, else 1 (serial).  Distinct from GEARSIM_SWEEP_JOBS — sweeps
-/// parallelize across independent simulations, the engine parallelizes
-/// inside one.
-int default_engine_threads();
-
-/// Clamp a requested engine-thread count: 0 means "use
-/// default_engine_threads()", negative means "use the hardware
-/// concurrency".
-int resolve_engine_threads(int threads);
-
 /// Run fn(0) .. fn(n-1) across at most `jobs` worker threads.  Items are
 /// claimed from an atomic counter, so completion order is arbitrary, but
 /// callers index their output arrays by `i`, which restores request
@@ -64,9 +52,8 @@ void parallel_for_ordered(int jobs, std::size_t n,
 
 /// A persistent fork-join worker pool for repeated rounds over the same
 /// thread set.  parallel_for_ordered spawns and joins threads per call —
-/// fine for sweeps whose items run for milliseconds, ruinous for the
-/// parallel DES engine, which synchronizes partitions every few hundred
-/// microseconds of simulated time.  WorkerPool keeps `threads - 1`
+/// fine for sweeps whose items run for milliseconds, too slow for rounds
+/// that last a few microseconds.  WorkerPool keeps `threads - 1`
 /// members parked on a condition variable between rounds; the calling
 /// thread participates as worker 0, so `threads == 1` degenerates to a
 /// plain inline call with no threads at all.

@@ -2,17 +2,15 @@
 // accounting identities, determinism, and gear-sweep structure.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cluster/dvfs.hpp"
 #include "cluster/experiment.hpp"
 #include "exec/result_io.hpp"
-#include "faults/fault_plan.hpp"
 #include "model/gear_data.hpp"
-#include "net/topology.hpp"
+#include "util/hash.hpp"
 #include "workloads/jacobi.hpp"
 #include "workloads/registry.hpp"
 
@@ -283,196 +281,59 @@ TEST(Runner, PolicyModalTieBreaksTowardFasterGear) {
   EXPECT_EQ(r.gear_max_index, 4u);
 }
 
-// --- conservative parallel engine: serial-oracle equivalence -----------------
+// --- serial fingerprints at 32 ranks and up ---------------------------------
 
-/// Every physical field of a parallel run must equal the serial oracle's
-/// exactly (the parallel path is an optimization, not a model change).
-/// event_order_hash is serial-only by contract; event_set_hash is the
-/// cross-mode probe.
-void expect_matches_serial(const RunResult& serial, const RunResult& parallel,
-                           const std::string& label) {
-  SCOPED_TRACE(label);
-  EXPECT_EQ(serial.wall.value(), parallel.wall.value());
-  EXPECT_EQ(serial.energy.value(), parallel.energy.value());
-  EXPECT_EQ(serial.active_energy.value(), parallel.active_energy.value());
-  EXPECT_EQ(serial.idle_energy.value(), parallel.idle_energy.value());
-  EXPECT_EQ(serial.mpi_calls, parallel.mpi_calls);
-  EXPECT_EQ(serial.messages, parallel.messages);
-  EXPECT_EQ(serial.net_bytes, parallel.net_bytes);
-  EXPECT_EQ(serial.event_set_hash, parallel.event_set_hash);
-  EXPECT_NE(serial.event_order_hash, 0u);
-  EXPECT_EQ(parallel.event_order_hash, 0u);
-  EXPECT_EQ(serial.engine_partitions, 0u);
-  // A fallback-to-serial run would pass the equalities vacuously; require
-  // that the partitioned path actually executed.
-  EXPECT_GE(parallel.engine_partitions, 2u);
-  EXPECT_GE(parallel.engine_windows, 1u);
-  ASSERT_EQ(serial.node_energy.size(), parallel.node_energy.size());
-  for (std::size_t i = 0; i < serial.node_energy.size(); ++i) {
-    EXPECT_EQ(serial.node_energy[i].total.value(),
-              parallel.node_energy[i].total.value());
-  }
-}
-
-TEST(Runner, ParallelEngineMatrixMatchesSerialOracle) {
-  // Workloads x fault plans x engine threads {1, 2, 8}: the full
-  // determinism matrix from the engine's acceptance contract.  Fault
-  // plans cover the parallel-eligible space: fault-free, deterministic
-  // straggler windows, a compose-mode crash + checkpointing plan, and a
-  // lossy-link plan — loss draws are keyed by transfer identity, so the
-  // barrier replay realizes the same losses as serial dispatch.
-  // (Abort-mode crashes still fall back to serial; see
-  // ParallelEngineFallsBackToSerialWhenUnsound below.)
-  const ExperimentRunner runner(athlon_cluster());
-
-  faults::FaultPlan stragglers;
-  stragglers.straggle(0, seconds(0.0), seconds(1e9), 4)
-      .straggle(2, seconds(1.0), seconds(3.0), 5);
-
-  faults::FaultPlan compose;
-  faults::CheckpointConfig ckpt;
-  ckpt.interval = seconds(2.0);
-  compose.with_checkpointing(ckpt).crash(1, seconds(3.0));
-
-  faults::FaultPlan links(11);
-  net::LinkFaultWindow lossy;
-  lossy.from = seconds(0.0);
-  lossy.until = seconds(5.0);
-  lossy.loss_probability = 0.3;
-  links.degrade_link(lossy);
-
-  const std::vector<std::pair<std::string, const faults::FaultPlan*>> plans =
-      {{"faults=none", nullptr},
-       {"faults=stragglers", &stragglers},
-       {"faults=compose", &compose},
-       {"faults=links", &links}};
-
-  for (const char* const name : {"Jacobi", "CG", "EP", "LU", "BT"}) {
-    const auto workload = workloads::make_workload(name);
-    for (const auto& [plan_label, plan] : plans) {
-      RunOptions options;
-      options.gear_index = 2;
-      options.faults = plan;
-      options.engine_threads = 1;
-      const RunResult serial = runner.run(*workload, 4, options);
-      for (const int threads : {2, 8}) {
-        options.engine_threads = threads;
-        const RunResult parallel = runner.run(*workload, 4, options);
-        expect_matches_serial(serial, parallel,
-                              std::string(name) + " " + plan_label +
-                                  " threads=" + std::to_string(threads));
-      }
-    }
-  }
-}
-
-TEST(Runner, ParallelEngineMatchesSerialUnderRoutedTopologies) {
-  // Topology leg of the determinism matrix: fair-share contention is a
-  // pure function of the transfer call sequence, so the barrier replay
-  // must drive the link schedules to the exact serial realization.
-  const std::vector<std::string> specs = {"fat-tree:2,2:1,1:1,1",
-                                          "torus:4x4",
-                                          "fat-tree:2,2:1,1:1,1:trunk_bw=2e6"};
-  for (const std::string& spec : specs) {
-    ClusterConfig config = athlon_cluster();
-    install_topology(&config, net::parse_topology(spec));
-    const ExperimentRunner runner(config);
-    for (const char* const name : {"Jacobi", "CG"}) {
-      const auto workload = workloads::make_workload(name);
-      RunOptions options;
-      options.gear_index = 2;
-      options.engine_threads = 1;
-      const RunResult serial = runner.run(*workload, 4, options);
-      for (const int threads : {2, 8}) {
-        options.engine_threads = threads;
-        const RunResult parallel = runner.run(*workload, 4, options);
-        expect_matches_serial(serial, parallel,
-                              spec + " " + name + " threads=" +
-                                  std::to_string(threads));
-      }
-    }
-  }
-}
-
-TEST(Runner, ParallelEngineMatchesSerialAt256Ranks) {
-  // The acceptance-scale case: >= 4 worker threads over >= 256 simulated
-  // ranks reproduce the serial oracle exactly.  A trimmed Jacobi keeps
-  // 257 runs of physics inside the test budget.
+TEST(Runner, GoldenResultFingerprintsAtScale) {
+  // FNV-1a of exec::to_json(RunResult) — every byte a run reports,
+  // order hash included — for the NAS codes and Jacobi at 32 ranks and
+  // up, seed 1, fastest gear.  Recorded on the serial engine before any
+  // kernel change; a process handoff shortcut or an engine rewrite must
+  // leave them byte-identical.
   ClusterConfig config = athlon_cluster();
-  config.max_nodes = 256;
+  config.max_nodes = 64;
+  config.seed = 1;
   const ExperimentRunner runner(config);
-  workloads::Jacobi::Params params;
-  params.iterations = 4;
-  const workloads::Jacobi jacobi(params);
-
-  RunOptions options;
-  options.engine_threads = 1;
-  const RunResult serial = runner.run(jacobi, 256, options);
-  options.engine_threads = 4;
-  const RunResult parallel = runner.run(jacobi, 256, options);
-  expect_matches_serial(serial, parallel, "Jacobi 256 ranks, 4 threads");
-  EXPECT_EQ(parallel.engine_partitions, 4u);
+  struct Golden {
+    const char* workload;
+    int nodes;
+    std::uint64_t fingerprint;
+  };
+  const std::vector<Golden> goldens = {
+      {"CG", 32, 0x1d98daf39b243926ULL},
+      {"CG", 64, 0x460c16ccb427fe38ULL},
+      {"LU", 32, 0xa4fb6a4aaf7034c3ULL},
+      {"LU", 64, 0xec35e29ec7ea4409ULL},
+      {"MG", 32, 0xca0b314ab30b9a76ULL},
+      {"MG", 64, 0x7bf5e21a8f1952a2ULL},
+      {"FT", 32, 0x4e6cf270b873c9e3ULL},
+      {"FT", 64, 0xa7d99b118246b492ULL},
+      {"BT", 36, 0x86fcd1efee271776ULL},
+      {"BT", 64, 0xe6666281cad8fb02ULL},
+      {"SP", 36, 0x16319c4e1d7e45d9ULL},
+      {"SP", 64, 0xe8f59f35ae4c9e9cULL},
+      {"Jacobi", 32, 0x938e2221550a2a90ULL},
+      {"Jacobi", 64, 0x93c31215998e11c8ULL},
+  };
+  for (const Golden& g : goldens) {
+    const RunResult r =
+        runner.run(*workloads::make_workload(g.workload), g.nodes, 0);
+    EXPECT_EQ(util::fnv1a(exec::to_json(r)), g.fingerprint)
+        << g.workload << " nodes=" << g.nodes;
+  }
 }
 
-TEST(Runner, ParallelEngineFallsBackToSerialWhenUnsound) {
-  // Configurations the parallel engine cannot reproduce exactly must run
-  // serial (engine_partitions == 0, order hash reported) even when
-  // engine_threads asks for partitioning.
-  const workloads::Jacobi jacobi;
-
-  // Lossy-link plans no longer force a fallback: loss draws are keyed
-  // by (src, per-source ordinal), so the partitioned path both engages
-  // and reproduces the serial realization (with actual retransmissions).
-  {
-    const ExperimentRunner runner(athlon_cluster());
-    faults::FaultPlan links(17);
-    net::LinkFaultWindow w;
-    w.from = seconds(0.0);
-    w.until = seconds(1.0);
-    w.loss_probability = 0.5;
-    links.degrade_link(w);
-    RunOptions options;
-    options.engine_threads = 1;
-    options.faults = &links;
-    const RunResult serial = runner.run(jacobi, 4, options);
-    options.engine_threads = 8;
-    const RunResult parallel = runner.run(jacobi, 4, options);
-    EXPECT_GT(serial.retransmissions, 0u);
-    EXPECT_EQ(serial.retransmissions, parallel.retransmissions);
-    expect_matches_serial(serial, parallel, "lossy links, 8 threads");
-  }
-  // Jittered networks: no sound lookahead.
-  {
-    const ExperimentRunner runner(xeon_cluster());
-    RunOptions options;
-    options.engine_threads = 8;
-    const RunResult r = runner.run(jacobi, 4, options);
-    EXPECT_EQ(r.engine_partitions, 0u);
-  }
-  // Single node: nothing to partition.
-  {
-    const ExperimentRunner runner(athlon_cluster());
-    RunOptions options;
-    options.engine_threads = 8;
-    const RunResult r = runner.run(jacobi, 1, options);
-    EXPECT_EQ(r.engine_partitions, 0u);
-  }
-  // Cross-partition rendezvous sends are only discoverable mid-run: the
-  // parallel attempt aborts with ParallelUnsupportedError and the runner
-  // reruns serially, so the result still matches a serial-pinned run
-  // field for field.
-  {
-    ClusterConfig config = athlon_cluster();
-    config.mpi.eager_threshold = 0;  // Every message goes rendezvous.
-    const ExperimentRunner runner(config);
-    RunOptions options;
-    options.engine_threads = 1;
-    const RunResult serial = runner.run(jacobi, 4, options);
-    options.engine_threads = 8;
-    const RunResult fallback = runner.run(jacobi, 4, options);
-    EXPECT_EQ(fallback.engine_partitions, 0u);
-    EXPECT_EQ(exec::to_json(serial), exec::to_json(fallback));
-  }
+TEST(Runner, EngineThreadsOptionIsIgnored) {
+  // Every run executes on the serial engine: asking for engine threads
+  // changes no byte of the result and reports no partitions or windows.
+  const ExperimentRunner runner(athlon_cluster());
+  const auto cg = workloads::make_workload("CG");
+  const RunResult plain = runner.run(*cg, 4, 0);
+  RunOptions options;
+  options.engine_threads = 8;
+  const RunResult asked = runner.run(*cg, 4, options);
+  EXPECT_EQ(exec::to_json(plain), exec::to_json(asked));
+  EXPECT_EQ(asked.engine_partitions, 0u);
+  EXPECT_EQ(asked.engine_windows, 0u);
 }
 
 TEST(Runner, SpeedupRejectsDegenerateDenominator) {

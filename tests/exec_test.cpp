@@ -612,58 +612,6 @@ TEST(SweepRunnerTest, CacheDistinguishesFaultPlans) {
   EXPECT_NE(to_json(clean_runs[0]), to_json(faulty_runs[0]));
 }
 
-TEST(SweepRunnerTest, EngineModeSharesOneCache) {
-  // Engine mode is deliberately NOT part of the cache key (cache_key.hpp
-  // v4): the parallel path is held byte-equal to serial, so a
-  // serial-written entry must be served verbatim to a parallel-engine
-  // sweep — zero re-simulation.
-  const workloads::Jacobi jacobi;
-  ResultCache cache;
-
-  SweepOptions serial;
-  serial.cache = &cache;
-  serial.engine_threads = 1;
-  const SweepRunner serial_runner(cluster::athlon_cluster(), serial);
-  const auto serial_runs =
-      serial_runner.run({SweepPoint{&jacobi, 4, 2, 0}});
-  EXPECT_EQ(cache.stats().misses, 1u);
-
-  SweepOptions parallel = serial;
-  parallel.engine_threads = 8;
-  const SweepRunner parallel_runner(cluster::athlon_cluster(), parallel);
-  const auto parallel_runs =
-      parallel_runner.run({SweepPoint{&jacobi, 4, 2, 0}});
-  EXPECT_EQ(cache.stats().misses, 1u);  // Served from the serial entry.
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(to_json(serial_runs[0]), to_json(parallel_runs[0]));
-}
-
-TEST(SweepRunnerTest, ParallelEngineSweepMatchesSerialSweep) {
-  // Uncached cross-mode equivalence at the sweep layer: every cacheable
-  // field of a parallel-engine sweep equals the serial sweep's.
-  const workloads::Jacobi jacobi;
-  SweepOptions options;
-  options.engine_threads = 1;
-  const SweepRunner serial_runner(cluster::athlon_cluster(), options);
-  options.engine_threads = 4;
-  const SweepRunner parallel_runner(cluster::athlon_cluster(), options);
-  const auto serial_runs = serial_runner.gear_sweep(jacobi, 4);
-  const auto parallel_runs = parallel_runner.gear_sweep(jacobi, 4);
-  ASSERT_EQ(serial_runs.size(), parallel_runs.size());
-  for (std::size_t i = 0; i < serial_runs.size(); ++i) {
-    cluster::RunResult serial_run = serial_runs[i];
-    cluster::RunResult parallel_run = parallel_runs[i];
-    EXPECT_NE(serial_run.event_order_hash, 0u);
-    EXPECT_EQ(parallel_run.event_order_hash, 0u);
-    EXPECT_EQ(serial_run.event_set_hash, parallel_run.event_set_hash);
-    EXPECT_GE(parallel_run.engine_partitions, 2u);
-    // to_json covers every cached field; order hash is serial-only by
-    // contract, so align it before the byte comparison.
-    parallel_run.event_order_hash = serial_run.event_order_hash;
-    EXPECT_EQ(to_json(serial_run), to_json(parallel_run));
-  }
-}
-
 TEST(SweepRunnerTest, ExceptionInOnePointPropagates) {
   // BT requires a square node count; the failure must surface even when
   // other points of the same parallel sweep succeed.

@@ -260,18 +260,9 @@ TEST(ObsDeterminismTest, RunResultUnchangedByInstrumentation) {
   cluster::ExperimentRunner runner(cluster::athlon_cluster());
   const workloads::Jacobi jacobi;
 
-  // An attached registry is deliberately unsynchronized (see
-  // obs/metrics.hpp), so instrumented runs always take the serial engine
-  // — pin the baseline to the same mode so the comparison is
-  // field-for-field even under an ambient GEARSIM_ENGINE_THREADS (the
-  // serial-only event_order_hash would otherwise legitimately differ;
-  // parallel-vs-serial physics is pinned by the cluster_test matrix).
-  cluster::RunOptions serial;
-  serial.engine_threads = 1;
-  const cluster::RunResult plain = runner.run(jacobi, 4, serial);
+  const cluster::RunResult plain = runner.run(jacobi, 4, cluster::RunOptions{});
   MetricsRegistry reg(true);
   cluster::RunOptions options;
-  options.engine_threads = 1;
   options.metrics = &reg;
   const cluster::RunResult instrumented = runner.run(jacobi, 4, options);
   // The metrics side channel never perturbs the measurement record.

@@ -491,12 +491,6 @@ TEST(WorkerPool, ReusableAfterThrow) {
   EXPECT_EQ(ran.load(), 2);
 }
 
-TEST(WorkerPool, ResolveEngineThreadsContract) {
-  EXPECT_EQ(resolve_engine_threads(5), 5);
-  EXPECT_GE(resolve_engine_threads(-1), 1);  // Hardware concurrency.
-  EXPECT_GE(resolve_engine_threads(0), 1);   // Env default (serial).
-}
-
 // --- failpoints --------------------------------------------------------------
 
 TEST(Failpoint, DisarmedIsSilentAndCheap) {
