@@ -151,7 +151,13 @@ void Daemon::accept_loop() {
     }
     for (std::thread& t : finished) t.join();
   }
-  running_.store(false, std::memory_order_release);
+  {
+    // Flip the flag under the waiters' mutex: otherwise it can land
+    // between wait()'s predicate check and its sleep, and the wakeup is
+    // lost.
+    const std::lock_guard<std::mutex> lock(mutex_);
+    running_.store(false, std::memory_order_release);
+  }
   stopped_cv_.notify_all();
 }
 
