@@ -28,11 +28,7 @@ namespace gearsim::exec {
 /// results grew per-rank gear residency.
 /// v3: results grew event_order_hash (the dispatch-order determinism
 /// probe); older cached entries lack the field and must be re-run.
-/// v4: results grew event_set_hash (the order-independent probe that
-/// the conservative parallel engine is verified against).  Engine mode
-/// itself deliberately stays OUT of the key: a run's identity is its
-/// physics, and the parallel path is held byte-equal to serial, so one
-/// cache serves both modes.
+/// v4: results grew event_set_hash (the order-independent event probe).
 /// v5: lossy-link loss draws are keyed by transfer identity (src,
 /// per-source ordinal) instead of global consumption order — link-fault
 /// results changed, so every pre-v5 entry must be recomputed.
