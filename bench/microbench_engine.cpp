@@ -1,6 +1,7 @@
 // Microbenchmark for the rebuilt event kernel: queue throughput across a
-// depth sweep (1e3..1e7), allocations per event through an instrumented
-// global allocator, and the EventFn capture-pool path counts.
+// depth sweep (1e3..1e7) and on a tie-heavy queue, allocations per event
+// through an instrumented global allocator, and the EventFn capture-pool
+// path counts.
 //
 // Wall-clock throughput goes into the `wall` section (machine-dependent,
 // never gated).  The gated deterministic metrics are the properties the
@@ -90,6 +91,31 @@ int run(bench::BenchContext& ctx) {
     ctx.wall_metric(name + ".events_per_sec", events_per_sec);
     ctx.wall_metric(name + ".ns_per_event", secs / ops * 1e9);
     std::cout << name << ": " << events_per_sec << " events/sec\n";
+  }
+
+  // --- tie-heavy churn: 1024 events on a few instants ---------------------
+  // The shape of a 1024-rank run in lockstep: all ranks start at t=0, and
+  // each replacement lands 1-4 us after the event it replaces, so the
+  // pending events sit on a few shared instants and nearly every
+  // comparison is a time tie decided by seq.  The depth sweep above
+  // draws distinct times instead.  Wall only (never gated).
+  {
+    constexpr int kDepth = 1024;
+    constexpr int kOps = 2'000'000;
+    const auto tie_churn = [](sim::EventQueue& q, int ops) {
+      for (int i = 0; i < ops; ++i) {
+        sim::EventQueue::Popped p = q.pop();
+        keep(p.seq);
+        q.push(p.time + microseconds(1.0 + (i & 3)), [] {});
+      }
+    };
+    sim::EventQueue q;
+    for (int i = 0; i < kDepth; ++i) q.push(seconds(0.0), [] {});
+    tie_churn(q, kOps / 10);
+    const double secs = bench::time_op([&] { tie_churn(q, kOps); });
+    ctx.wall_metric("queue_ties_1024.ns_per_event", secs / kOps * 1e9);
+    std::cout << "queue_ties_1024: " << secs / kOps * 1e9
+              << " ns per push+pop\n";
   }
 
   // --- allocations per event, steady state -------------------------------

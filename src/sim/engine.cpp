@@ -145,11 +145,7 @@ void Engine::terminate_processes() {
 void Engine::schedule_at(Seconds t, EventFn fn) {
   GEARSIM_REQUIRE(t >= now_, "event scheduled in the past");
   count_pool_path(fn.on_heap());
-  // The new event's pedigree: born now, by the event currently being
-  // dispatched, whose own birth and parent become the ancestor keys.
-  queue_.push(t, std::move(fn),
-              EventPedigree{now_, current_pedigree_.birth,
-                            current_pedigree_.parent});
+  queue_.push(t, std::move(fn));
   if (m_queue_high_water_ != nullptr) {
     m_queue_high_water_->set(static_cast<double>(queue_.size()));
   }
@@ -165,9 +161,7 @@ void Engine::schedule_batch(EventBatch& batch) {
     GEARSIM_REQUIRE(t >= now_, "event scheduled in the past");
     count_pool_path(on_heap);
   });
-  // Every item is inserted *now*, by the event currently dispatching.
-  queue_.push_batch(batch, EventPedigree{now_, current_pedigree_.birth,
-                                         current_pedigree_.parent});
+  queue_.push_batch(batch);
   if (m_queue_high_water_ != nullptr) {
     m_queue_high_water_->set(static_cast<double>(queue_.size()));
   }
@@ -206,10 +200,8 @@ Process& Engine::spawn(std::string name, std::function<void(Process&)> body,
   return ref;
 }
 
-void Engine::begin_event(Seconds time, const EventPedigree& pedigree,
-                         std::uint64_t seq) {
+void Engine::begin_event(Seconds time, std::uint64_t seq) {
   now_ = time;
-  current_pedigree_ = pedigree;
   ++events_executed_;
   // Dispatch-order fingerprint: the time identifies *when*, the insertion
   // seq identifies *which* of several simultaneous events ran — together
@@ -226,7 +218,7 @@ void Engine::begin_event(Seconds time, const EventPedigree& pedigree,
 
 void Engine::dispatch_one() {
   EventQueue::Popped ev = queue_.pop();
-  begin_event(ev.time, ev.pedigree, ev.seq);
+  begin_event(ev.time, ev.seq);
   ev.fn();
 }
 
@@ -237,14 +229,12 @@ bool Engine::resume_in_place(Seconds t) {
   // would have done, minus the queue and the two fiber switches.
   if (!running_ || t > horizon_) return false;
   if (!queue_.empty() && !(t < queue_.next_time())) return false;
-  const EventPedigree pedigree{now_, current_pedigree_.birth,
-                               current_pedigree_.parent};
-  const std::uint64_t seq = queue_.consume_seq(t, pedigree);
+  const std::uint64_t seq = queue_.consume_seq(t);
   count_pool_path(false);  // The resume callable is one pointer: inline.
   if (m_queue_high_water_ != nullptr) {
     m_queue_high_water_->set(static_cast<double>(queue_.size() + 1));
   }
-  begin_event(t, pedigree, seq);
+  begin_event(t, seq);
   return true;
 }
 

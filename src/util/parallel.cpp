@@ -7,7 +7,6 @@
 #include <limits>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
@@ -83,81 +82,6 @@ void parallel_for_ordered(int jobs, std::size_t n,
   for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
   for (auto& t : pool) t.join();
   if (error) std::rethrow_exception(error);
-}
-
-WorkerPool::WorkerPool(int threads) : threads_(std::max(threads, 1)) {
-  errors_.resize(static_cast<std::size_t>(threads_));
-  members_.reserve(static_cast<std::size_t>(threads_ - 1));
-  for (int id = 1; id < threads_; ++id) {
-    members_.emplace_back([this, id] { worker_main(id); });
-  }
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    stop_ = true;
-  }
-  start_cv_.notify_all();
-  for (auto& t : members_) t.join();
-}
-
-void WorkerPool::run(const std::function<void(int)>& fn) {
-  GEARSIM_REQUIRE(fn != nullptr, "WorkerPool::run needs a body");
-  if (threads_ == 1) {
-    fn(0);
-    return;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    GEARSIM_REQUIRE(job_ == nullptr, "WorkerPool::run is not reentrant");
-    job_ = &fn;
-    remaining_ = threads_ - 1;
-    std::fill(errors_.begin(), errors_.end(), std::exception_ptr{});
-    ++generation_;
-  }
-  start_cv_.notify_all();
-  // The calling thread is worker 0; its error slot is written and read on
-  // this thread, the members' slots under mutex_ (released by the final
-  // remaining_ == 0 handoff before we read them).
-  try {
-    fn(0);
-  } catch (...) {
-    errors_[0] = std::current_exception();
-  }
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] { return remaining_ == 0; });
-  job_ = nullptr;
-  for (auto& slot : errors_) {
-    if (slot) {
-      const std::exception_ptr error = std::exchange(slot, nullptr);
-      lock.unlock();
-      std::rethrow_exception(error);
-    }
-  }
-}
-
-void WorkerPool::worker_main(int id) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    const std::function<void(int)>* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      start_cv_.wait(lock, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-      job = job_;
-    }
-    std::exception_ptr error;
-    try {
-      (*job)(id);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    const std::lock_guard<std::mutex> lock(mutex_);
-    errors_[static_cast<std::size_t>(id)] = std::move(error);
-    if (--remaining_ == 0) done_cv_.notify_one();
-  }
 }
 
 }  // namespace gearsim

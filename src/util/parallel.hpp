@@ -10,14 +10,8 @@
 // decides *where* each item runs, never *what* it computes.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace gearsim {
 
@@ -49,47 +43,5 @@ int resolve_jobs(int jobs);
 /// level up, in exec::SweepSupervisor).
 void parallel_for_ordered(int jobs, std::size_t n,
                           const std::function<void(std::size_t)>& fn);
-
-/// A persistent fork-join worker pool for repeated rounds over the same
-/// thread set.  parallel_for_ordered spawns and joins threads per call —
-/// fine for sweeps whose items run for milliseconds, too slow for rounds
-/// that last a few microseconds.  WorkerPool keeps `threads - 1`
-/// members parked on a condition variable between rounds; the calling
-/// thread participates as worker 0, so `threads == 1` degenerates to a
-/// plain inline call with no threads at all.
-///
-/// Failure semantics mirror parallel_for_ordered: every worker finishes
-/// its round before run() returns, and the exception from the
-/// lowest-indexed failing worker is rethrown on the calling thread — a
-/// deterministic pick whenever each worker's computation is itself
-/// deterministic.
-class WorkerPool {
- public:
-  /// `threads >= 1` total workers (including the calling thread).
-  explicit WorkerPool(int threads);
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-  ~WorkerPool();
-
-  [[nodiscard]] int threads() const { return threads_; }
-
-  /// Run fn(0) .. fn(threads()-1), one call per worker, concurrently.
-  /// Blocks until every worker has returned (or thrown); not reentrant.
-  void run(const std::function<void(int)>& fn);
-
- private:
-  void worker_main(int id);
-
-  int threads_;
-  std::vector<std::thread> members_;
-  std::mutex mutex_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(int)>* job_ = nullptr;
-  std::uint64_t generation_ = 0;
-  int remaining_ = 0;
-  bool stop_ = false;
-  std::vector<std::exception_ptr> errors_;
-};
 
 }  // namespace gearsim

@@ -1,7 +1,8 @@
 // Focused tests for the pooled event queue and the small-buffer EventFn:
 // FIFO ordering under interleaved push/pop at equal timestamps (the
-// const_cast move-from-top regression), scheduling-time validation,
-// batched submission, and the inline/heap capture paths.
+// const_cast move-from-top regression), a seeded reference model of the
+// (time, seq) order, scheduling-time validation, batched submission, and
+// the inline/heap capture paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/event_queue.hpp"
+#include "util/random.hpp"
 
 namespace gearsim::sim {
 namespace {
@@ -88,6 +90,91 @@ TEST(EventQueue, InterleavedAcrossTimesStaysSorted) {
   while (!q2.empty()) q2.pop().fn();
   EXPECT_TRUE(std::is_sorted(drained.begin(), drained.end()));
   EXPECT_EQ(drained.size(), 100U);
+}
+
+// Seeded reference model.  The model keeps the pending events in push
+// order; the first one with the least time is the head of a stable sort
+// by time, which is the (time, seq) dispatch order.  The inputs are the
+// ones that stress a heap: 1024 events at one instant (a run's spawns,
+// a third of them at -0.0), pushes at the current time made while
+// popping (wakes), repeated shared future instants (ranks in lockstep),
+// and a clear() mid-stream, after which sequence numbering must continue
+// where it stopped.  Random distinct times in between exercise every
+// heap shape.
+TEST(EventQueue, PopOrderMatchesAStableSortByTimeAndSeq) {
+  struct Pending {
+    double time;
+    std::uint64_t seq;
+    int id;
+  };
+  EventQueue q;
+  std::vector<Pending> model;
+  std::uint64_t next_seq = 0;
+  int next_id = 0;
+  int fired = -1;
+  double now = 0.0;
+  std::uint64_t last_seq = 0;
+  std::size_t pops = 0;
+  Rng rng(18);
+
+  const auto push = [&](double t) {
+    const int id = next_id++;
+    q.push(seconds(t), [&fired, id] { fired = id; });
+    model.push_back(Pending{t, next_seq++, id});
+  };
+  const auto pop = [&] {
+    ASSERT_FALSE(model.empty());
+    const auto head = std::min_element(
+        model.begin(), model.end(),
+        [](const Pending& a, const Pending& b) { return a.time < b.time; });
+    EXPECT_EQ(q.next_time(), seconds(head->time));
+    EventQueue::Popped p = q.pop();
+    EXPECT_EQ(p.time, seconds(head->time));
+    EXPECT_EQ(p.seq, head->seq);
+    p.fn();
+    EXPECT_EQ(fired, head->id);
+    now = head->time;
+    last_seq = p.seq;
+    model.erase(head);
+    ++pops;
+  };
+  /// Pop `n` events; after each, maybe push one at the current time and
+  /// maybe one at a shared future instant.
+  const auto churn = [&](int n) {
+    for (int i = 0; i < n && !model.empty(); ++i) {
+      pop();
+      if (rng.below(4) == 0) push(now);
+      if (rng.below(3) == 0) {
+        push(now + 0.25 * static_cast<double>(1 + rng.below(4)));
+      }
+    }
+  };
+
+  // -0.0 passes the time guard and is the same instant as +0.0.
+  for (int i = 0; i < 1024; ++i) push(i % 3 == 0 ? -0.0 : 0.0);
+  churn(700);
+  for (int i = 0; i < 600; ++i) push(now + static_cast<double>(rng.below(5)));
+  churn(900);
+  // Distinct random times between the ties, so every heap shape occurs.
+  for (int i = 0; i < 2000; ++i) {
+    push(now + rng.uniform(0.0, 3.0));
+    if (i % 2 == 1) pop();
+  }
+
+  // Abandon everything pending, as Engine::terminate_processes does.
+  const std::uint64_t seq_before_clear = next_seq;
+  q.clear();
+  model.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  push(now);
+  for (int i = 0; i < 299; ++i) push(now + static_cast<double>(rng.below(3)));
+  pop();
+  EXPECT_EQ(last_seq, seq_before_clear);  // Numbering continues.
+  churn(200);
+  while (!model.empty()) pop();
+  EXPECT_TRUE(q.empty());
+  EXPECT_GT(pops, 2000u);
 }
 
 TEST(EventQueue, RejectsNonFiniteAndNegativeTimes) {

@@ -435,7 +435,7 @@ TEST(Process, StateTransitions) {
 //
 // A delay whose wakeup is strictly the next event resumes in place, with
 // no queue entry and no fiber switch.  Everything observable must match
-// the queued path: hashes, counters, pedigrees, metrics, termination and
+// the queued path: hashes, counters, metrics, termination and
 // error behaviour.
 
 /// What a run leaves behind that the fast path must not change.
@@ -448,19 +448,11 @@ struct RunPrint {
   double queue_high_water = 0.0;
   std::uint64_t dispatched_metric = 0;
   std::uint64_t inline_metric = 0;
-  std::vector<double> pedigrees;  ///< (birth, parent, grandparent) per step.
 
   bool operator==(const RunPrint&) const = default;
 };
 
-void record_pedigree(const Engine& e, std::vector<double>& out) {
-  const EventPedigree& p = e.current_event_pedigree();
-  out.insert(out.end(),
-             {p.birth.value(), p.parent.value(), p.grandparent.value()});
-}
-
-RunPrint print_of(const Engine& e, obs::MetricsRegistry& reg,
-                  std::vector<double> pedigrees) {
+RunPrint print_of(const Engine& e, obs::MetricsRegistry& reg) {
   RunPrint out;
   out.order_hash = e.order_hash();
   out.set_hash = e.event_set_hash();
@@ -470,7 +462,6 @@ RunPrint print_of(const Engine& e, obs::MetricsRegistry& reg,
   out.queue_high_water = reg.gauge("sim.engine.queue_high_water").value();
   out.dispatched_metric = reg.counter("sim.engine.events_dispatched").value();
   out.inline_metric = reg.counter("sim.engine.pool.inline_events").value();
-  out.pedigrees = std::move(pedigrees);
   return out;
 }
 
@@ -485,34 +476,26 @@ TEST(DelayFastPath, ProcessChainsMatchScheduledCallbacks) {
     Engine e;
     obs::MetricsRegistry reg;
     e.set_metrics(&reg);
-    std::vector<double> pedigrees;
     for (const std::vector<double>& chain : kChains) {
-      e.spawn("chain", [&e, &pedigrees, &chain](Process& p) {
-        record_pedigree(e, pedigrees);
-        for (const double d : chain) {
-          p.delay(seconds(d));
-          record_pedigree(e, pedigrees);
-        }
+      e.spawn("chain", [&chain](Process& p) {
+        for (const double d : chain) p.delay(seconds(d));
       });
     }
     e.schedule_at(seconds(2.5), [] {});
     e.schedule_at(seconds(6.5), [] {});
     e.run();
-    as_processes = print_of(e, reg, pedigrees);
+    as_processes = print_of(e, reg);
   }
   RunPrint as_callbacks;
   {
     Engine e;
     obs::MetricsRegistry reg;
     e.set_metrics(&reg);
-    std::vector<double> pedigrees;
     struct Chain {
       Engine* engine;
       const std::vector<double>* delays;
-      std::vector<double>* pedigrees;
       std::size_t next = 0;
       void step() {
-        record_pedigree(*engine, *pedigrees);
         if (next < delays->size()) {
           engine->schedule_after(seconds((*delays)[next++]),
                                  [this] { step(); });
@@ -521,7 +504,7 @@ TEST(DelayFastPath, ProcessChainsMatchScheduledCallbacks) {
     };
     std::vector<Chain> chains;
     for (const std::vector<double>& chain : kChains) {
-      chains.push_back(Chain{&e, &chain, &pedigrees});
+      chains.push_back(Chain{&e, &chain});
     }
     for (Chain& chain : chains) {
       e.schedule_at(seconds(0.0), [&chain] { chain.step(); });
@@ -529,7 +512,7 @@ TEST(DelayFastPath, ProcessChainsMatchScheduledCallbacks) {
     e.schedule_at(seconds(2.5), [] {});
     e.schedule_at(seconds(6.5), [] {});
     e.run();
-    as_callbacks = print_of(e, reg, pedigrees);
+    as_callbacks = print_of(e, reg);
   }
   EXPECT_EQ(as_processes, as_callbacks);
   EXPECT_EQ(as_processes.events, 13u);

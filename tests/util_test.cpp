@@ -430,67 +430,6 @@ TEST(Parallel, ReusableAfterThrow) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-// --- WorkerPool ---------------------------------------------------------------
-
-TEST(WorkerPool, RunsEveryWorkerIdOncePerRound) {
-  WorkerPool pool(4);
-  EXPECT_EQ(pool.threads(), 4);
-  std::vector<std::atomic<int>> hits(4);
-  pool.run([&](int id) { ++hits[static_cast<std::size_t>(id)]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(WorkerPool, ReusesParkedThreadsAcrossRounds) {
-  // The engine calls run() once per time window — thousands of rounds on
-  // one pool.  Every round must cover every id, with a full barrier in
-  // between (the counter from round k is complete before round k+1).
-  WorkerPool pool(3);
-  std::atomic<int> total{0};
-  for (int round = 0; round < 200; ++round) {
-    pool.run([&](int) { total.fetch_add(1, std::memory_order_relaxed); });
-    EXPECT_EQ(total.load(), (round + 1) * 3);
-  }
-}
-
-TEST(WorkerPool, SingleThreadRunsInlineOnCaller) {
-  WorkerPool pool(1);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::thread::id seen;
-  pool.run([&](int id) {
-    EXPECT_EQ(id, 0);
-    seen = std::this_thread::get_id();
-  });
-  EXPECT_EQ(seen, caller);
-}
-
-TEST(WorkerPool, LowestWorkerExceptionWins) {
-  // Mirrors parallel_for_ordered: with several workers throwing, the
-  // caller deterministically sees the lowest id's exception.
-  WorkerPool pool(4);
-  try {
-    pool.run([](int id) {
-      if (id >= 1) throw std::runtime_error(std::to_string(id));
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "1");
-  }
-}
-
-TEST(WorkerPool, ReusableAfterThrow) {
-  // A window that throws (a simulated node failure) must leave the pool
-  // ready for the next window — errors are cleared, workers re-parked.
-  WorkerPool pool(2);
-  try {
-    pool.run([](int) { throw std::runtime_error("window boom"); });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error&) {
-  }
-  std::atomic<int> ran{0};
-  pool.run([&](int) { ++ran; });
-  EXPECT_EQ(ran.load(), 2);
-}
-
 // --- failpoints --------------------------------------------------------------
 
 TEST(Failpoint, DisarmedIsSilentAndCheap) {
