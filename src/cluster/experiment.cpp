@@ -94,7 +94,7 @@ RunResult ExperimentRunner::run(const Workload& workload, int nodes,
   GearPolicy* policy = options.policy;
   GEARSIM_REQUIRE(nodes >= 1 && nodes <= config_.max_nodes,
                   "node count outside the cluster");
-  // Deterministic fault injection for the supervision/strict-mode tests:
+  // Deterministic fault injection for the sweep-isolation tests:
   // lets a test fail run N through the full stack without a bespoke
   // throwing workload.  One relaxed atomic load when disarmed.
   if (util::failpoint("cluster.run.throw")) {

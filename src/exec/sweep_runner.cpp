@@ -2,15 +2,93 @@
 
 #include <chrono>
 #include <memory>
+#include <sstream>
+#include <system_error>
+#include <thread>
 #include <utility>
 
+#include "obs/metrics.hpp"
 #include "util/assert.hpp"
+#include "util/failpoint.hpp"
 #include "util/parallel.hpp"
 
 namespace gearsim::exec {
 
+namespace {
+
+using SteadyClock = std::chrono::steady_clock;
+
+double seconds_since(SteadyClock::time_point start) {
+  return std::chrono::duration<double>(SteadyClock::now() - start).count();
+}
+
+std::string describe_point(const SweepPoint& p) {
+  std::ostringstream os;
+  os << (p.workload != nullptr ? p.workload->name() : std::string("<null>"))
+     << " nodes=" << p.nodes << " gear=" << p.gear_index + 1
+     << " rep=" << p.rep;
+  if (p.policy != nullptr) os << " policy=" << p.policy->signature();
+  return os.str();
+}
+
+/// Mutable per-point scratch; index-aligned with the submitted points,
+/// so workers write disjoint slots and the calling thread folds in
+/// request order after the pool drains.
+struct JobState {
+  bool valid = false;  ///< Passed validate_point.
+  bool cache_hit = false;
+  int attempts = 0;
+  FailureKind kind = FailureKind::kPermanent;
+  std::string error;
+  std::exception_ptr eptr;
+  double wall_seconds = 0.0;
+  obs::MetricsSnapshot snapshot;  ///< Simulated points only.
+};
+
+}  // namespace
+
+const char* to_string(FailureKind kind) {
+  return kind == FailureKind::kTransient ? "transient" : "permanent";
+}
+
+FailureKind classify_failure(const std::exception& e) {
+  // Retry only conditions that a re-run can plausibly clear.  A
+  // deterministic simulation that threw (ContractError, SimulationError,
+  // a workload bug) will throw identically on every attempt.
+  if (dynamic_cast<const TransientError*>(&e) != nullptr ||
+      dynamic_cast<const std::system_error*>(&e) != nullptr ||
+      dynamic_cast<const std::ios_base::failure*>(&e) != nullptr) {
+    return FailureKind::kTransient;
+  }
+  return FailureKind::kPermanent;
+}
+
+std::size_t SweepOutcome::completed() const {
+  std::size_t n = 0;
+  for (const auto& r : results) {
+    if (r.has_value()) ++n;
+  }
+  return n;
+}
+
+std::string SweepOutcome::report() const {
+  std::ostringstream os;
+  for (const JobFailure& f : failures) {
+    os << "job #" << f.index << " (" << f.point << "): " << f.error << " ["
+       << to_string(f.kind) << ", attempts=" << f.attempts;
+    if (!f.key.empty()) os << ", key=" << f.key;
+    os << "]\n";
+  }
+  return os.str();
+}
+
 SweepRunner::SweepRunner(cluster::ClusterConfig config, SweepOptions options)
-    : config_(std::move(config)), options_(options) {}
+    : config_(std::move(config)), options_(options) {
+  GEARSIM_REQUIRE(options_.max_attempts >= 1,
+                  "sweep needs at least one attempt per point");
+  GEARSIM_REQUIRE(options_.watchdog_seconds >= 0.0,
+                  "watchdog threshold must be >= 0");
+}
 
 void SweepRunner::validate_point(const SweepPoint& p) const {
   const cluster::ClusterConfig& base = config_.config();
@@ -61,99 +139,232 @@ std::vector<cluster::RunResult> SweepRunner::run(
   // Validate everything up front: a bad point must fail before any
   // simulation time (or cache traffic) is spent.
   for (const SweepPoint& p : points) validate_point(p);
+  std::exception_ptr first_error;
+  SweepOutcome outcome = execute(points, &first_error);
+  // Every point has drained (and its result is cached); surface the
+  // failure a serial loop would have hit first.
+  if (first_error) std::rethrow_exception(first_error);
+  std::vector<cluster::RunResult> results;
+  results.reserve(outcome.results.size());
+  for (auto& r : outcome.results) results.push_back(std::move(*r));
+  return results;
+}
 
-  std::vector<cluster::RunResult> results(points.size());
-  std::vector<CacheKey> keys(options_.cache != nullptr ? points.size() : 0);
-  std::vector<std::size_t> misses;
-  misses.reserve(points.size());
+SweepOutcome SweepRunner::run_isolated(
+    const std::vector<SweepPoint>& points) const {
+  return execute(points, nullptr);
+}
 
-  if (options_.cache != nullptr) {
-    for (std::size_t i = 0; i < points.size(); ++i) {
+SweepOutcome SweepRunner::execute(const std::vector<SweepPoint>& points,
+                                  std::exception_ptr* first_error) const {
+  const std::size_t n = points.size();
+  ResultCache* const cache = options_.cache;
+  // Sweep-level bookkeeping happens on the calling thread only; workers
+  // write per-point registries / per-slot state, never `reg` itself.
+  obs::MetricsRegistry* const reg = options_.metrics;
+
+  SweepOutcome outcome;
+  outcome.results.resize(n);
+  std::vector<JobState> jobs(n);
+  std::vector<CacheKey> keys(cache != nullptr ? n : 0);
+  std::vector<std::size_t> pending;
+  pending.reserve(n);
+
+  // Steps 1 and 2, calling thread: validate each point (a bad point fails
+  // alone) and probe the cache.
+  for (std::size_t i = 0; i < n; ++i) {
+    try {
+      validate_point(points[i]);
+    } catch (const std::exception& e) {
+      jobs[i].error = e.what();
+      jobs[i].eptr = std::current_exception();
+      continue;
+    }
+    jobs[i].valid = true;
+    if (cache != nullptr) {
       keys[i] = point_key(points[i]);
-      if (auto hit = options_.cache->lookup(keys[i])) {
-        results[i] = *hit;
-      } else {
-        misses.push_back(i);
+      if (auto hit = cache->lookup(keys[i])) {
+        outcome.results[i] = std::move(*hit);
+        jobs[i].cache_hit = true;
+        continue;
       }
     }
-  } else {
-    for (std::size_t i = 0; i < points.size(); ++i) misses.push_back(i);
+    pending.push_back(i);
   }
-
-  // Sweep-level bookkeeping happens on the calling thread only; workers
-  // write per-point registries / per-slot arrays, never `reg` itself.
-  obs::MetricsRegistry* const reg = options_.metrics;
   const CacheStats stats_before = cache_stats();
-  if (reg != nullptr) {
-    reg->counter("exec.sweep.points").add(points.size());
-    if (options_.cache != nullptr) {
-      reg->counter("exec.cache.hits").add(points.size() - misses.size());
-      reg->counter("exec.cache.misses").add(misses.size());
-      reg->counter("exec.cache.insertions").add(misses.size());
-    }
-  }
-  std::vector<obs::MetricsSnapshot> point_metrics(
-      reg != nullptr ? misses.size() : 0);
-  // Wall profiling: per-point durations land in a per-index slot (no
-  // races), folded into the registry after the pool drains.
-  const bool wall = reg != nullptr && reg->wall_profiling();
-  std::vector<double> point_seconds(wall ? misses.size() : 0, 0.0);
-  const auto sweep_start = std::chrono::steady_clock::now();
 
-  parallel_for_ordered(options_.jobs, misses.size(), [&](std::size_t m) {
-    std::chrono::steady_clock::time_point point_start;
-    if (wall) point_start = std::chrono::steady_clock::now();
-    const std::size_t i = misses[m];
-    // A private registry per point: the engine's discipline makes each
-    // point single-threaded, so no atomics are needed anywhere.
-    std::unique_ptr<obs::MetricsRegistry> point_reg;
-    if (reg != nullptr) point_reg = std::make_unique<obs::MetricsRegistry>();
-    results[i] = simulate_point(points[i], point_reg.get());
-    if (options_.cache != nullptr) {
-      options_.cache->insert(keys[i], results[i]);
+  // One point's attempt/retry loop.  Exceptions from an attempt are
+  // absorbed into the JobState here; anything thrown past this function
+  // (allocation failure, the escape failpoint) is caught by the outer
+  // handler at the call site.
+  const auto run_attempts = [&](JobState& job, std::size_t i) {
+    const auto index = static_cast<std::int64_t>(i);
+    // Failpoint modeling an exception that escapes the per-attempt
+    // handling — the class of bug the outer catch exists for.
+    if (util::failpoint("exec.supervisor.job.escape", index)) {
+      throw SimulationError(
+          "failpoint exec.supervisor.job.escape fired for job " +
+          std::to_string(i));
     }
-    if (point_reg != nullptr) point_metrics[m] = point_reg->snapshot();
-    if (wall) {
-      point_seconds[m] = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - point_start)
-                             .count();
+    for (int attempt = 1;; ++attempt) {
+      job.attempts = attempt;
+      const SteadyClock::time_point start = SteadyClock::now();
+      try {
+        // Failpoints (deterministic, keyed by point index; see
+        // docs/RESILIENCE.md).  job.slow's arg is a sleep in
+        // milliseconds — the watchdog test's runaway config.
+        if (util::failpoint("exec.supervisor.job.throw", index)) {
+          throw TransientError(
+              "failpoint exec.supervisor.job.throw fired for job " +
+              std::to_string(i));
+        }
+        if (util::failpoint("exec.supervisor.job.throw_permanent", index)) {
+          throw SimulationError(
+              "failpoint exec.supervisor.job.throw_permanent fired "
+              "for job " +
+              std::to_string(i));
+        }
+        if (const auto ms =
+                util::failpoint("exec.supervisor.job.slow", index)) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(*ms));
+        }
+        // A private registry per point: the engine's discipline makes
+        // each point single-threaded, so no atomics are needed anywhere.
+        std::unique_ptr<obs::MetricsRegistry> point_reg;
+        if (reg != nullptr) {
+          point_reg = std::make_unique<obs::MetricsRegistry>();
+        }
+        cluster::RunResult result = simulate_point(points[i], point_reg.get());
+        if (cache != nullptr) cache->insert(keys[i], result);
+        job.wall_seconds += seconds_since(start);
+        if (point_reg != nullptr) job.snapshot = point_reg->snapshot();
+        outcome.results[i] = std::move(result);
+        return;
+      } catch (const std::exception& e) {
+        job.wall_seconds += seconds_since(start);
+        job.error = e.what();
+        job.eptr = std::current_exception();
+        job.kind = classify_failure(e);
+      } catch (...) {
+        job.wall_seconds += seconds_since(start);
+        job.error = "unknown exception";
+        job.eptr = std::current_exception();
+        job.kind = FailureKind::kPermanent;
+      }
+      if (job.kind != FailureKind::kTransient ||
+          attempt >= options_.max_attempts) {
+        return;  // Terminal: permanent, or retry budget exhausted.
+      }
+    }
+  };
+
+  // Step 3, worker pool: every pending point under exception isolation.
+  // Nothing escapes the lambda, so parallel_for_ordered never stops
+  // early and every point gets its turn regardless of its neighbours'
+  // fate.  That must hold unconditionally: an escaped exception would
+  // trip parallel_for_ordered's fail-fast stop, skip unclaimed points,
+  // and lose the step-4 bookkeeping (watchdog flag, JobFailure record)
+  // of the rest.  run_attempts' inner try does not cover everything —
+  // the error-string copy in its handler may throw too — so the outer
+  // catch turns any escape into a recorded permanent failure.
+  const auto sweep_start = SteadyClock::now();
+  parallel_for_ordered(options_.jobs, pending.size(), [&](std::size_t m) {
+    const std::size_t i = pending[m];
+    JobState& job = jobs[i];
+    try {
+      run_attempts(job, i);
+    } catch (const std::exception& e) {
+      outcome.results[i].reset();
+      job.eptr = std::current_exception();
+      job.kind = FailureKind::kPermanent;
+      try {
+        job.error = std::string("sweep job escape: ") + e.what();
+      } catch (...) {
+        job.error.clear();
+      }
+    } catch (...) {
+      outcome.results[i].reset();
+      job.eptr = std::current_exception();
+      job.kind = FailureKind::kPermanent;
     }
   });
+  const double sweep_seconds = seconds_since(sweep_start);
+
+  // Step 4, calling thread: fold results and metrics in request order
+  // (merging snapshots in index order, not completion order, keeps every
+  // sim-domain value bit-identical for any job count), build the failure
+  // report, apply the watchdog.
+  std::size_t cache_hits = 0;
+  std::size_t simulated = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const JobState& job = jobs[i];
+    if (job.attempts > 1) {
+      outcome.retries += static_cast<std::uint64_t>(job.attempts - 1);
+    }
+    if (job.cache_hit) {
+      ++cache_hits;
+    } else if (outcome.results[i].has_value()) {
+      ++simulated;
+      if (reg != nullptr) reg->merge(job.snapshot);
+    }
+    if (options_.watchdog_seconds > 0.0 &&
+        job.wall_seconds > options_.watchdog_seconds) {
+      outcome.runaway.push_back(i);
+    }
+    if (!outcome.results[i].has_value()) {
+      if (first_error != nullptr && !*first_error) *first_error = job.eptr;
+      JobFailure failure;
+      failure.index = i;
+      failure.point = describe_point(points[i]);
+      failure.key =
+          (cache != nullptr && job.valid) ? keys[i].hex() : std::string();
+      failure.attempts = job.attempts;
+      failure.kind = job.kind;
+      failure.error = job.error;
+      failure.wall_seconds = job.wall_seconds;
+      outcome.failures.push_back(std::move(failure));
+    }
+  }
 
   if (reg != nullptr) {
-    // Request-order fold: merging snapshots in miss order (not completion
-    // order) keeps every sim-domain value bit-identical for any job count.
-    for (const obs::MetricsSnapshot& snap : point_metrics) reg->merge(snap);
+    reg->counter("exec.sweep.points").add(n);
+    reg->counter("exec.supervisor.jobs").add(n);
+    reg->counter("exec.supervisor.failures").add(outcome.failures.size());
+    reg->counter("exec.supervisor.retries").add(outcome.retries);
+    if (cache != nullptr) {
+      reg->counter("exec.cache.hits").add(cache_hits);
+      reg->counter("exec.cache.misses").add(pending.size());
+      reg->counter("exec.cache.insertions").add(simulated);
+    }
     // Evictions are order-independent under the LRU capacity rule (each
     // insert beyond capacity evicts exactly one entry), so the delta is
     // safe to report as a sim-domain counter.
-    const CacheStats stats_after = cache_stats();
     reg->counter("exec.cache.evictions")
-        .add(stats_after.evictions - stats_before.evictions);
-    if (wall) {
+        .add(cache_stats().evictions - stats_before.evictions);
+    // Wall-clock derived, so never a sim-domain (comparable) metric.
+    if (obs::Counter* runaway = reg->wall_counter("exec.supervisor.runaway")) {
+      runaway->add(outcome.runaway.size());
+    }
+    if (reg->wall_profiling()) {
       obs::Histogram& h = *reg->wall_histogram(
           "exec.sweep.point_seconds", {0.001, 0.01, 0.1, 1.0, 10.0, 100.0});
       double busy = 0.0;
-      for (double s : point_seconds) {
-        h.observe(s);
-        busy += s;
+      for (const std::size_t i : pending) {
+        h.observe(jobs[i].wall_seconds);
+        busy += jobs[i].wall_seconds;
       }
-      const double elapsed = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - sweep_start)
-                                 .count();
-      const int jobs = resolve_jobs(options_.jobs);
+      const int workers = resolve_jobs(options_.jobs);
       reg->wall_gauge("exec.sweep.jobs", obs::Gauge::Kind::kLast)
-          ->set(static_cast<double>(jobs));
-      if (elapsed > 0.0 && !point_seconds.empty()) {
+          ->set(static_cast<double>(workers));
+      if (sweep_seconds > 0.0 && !pending.empty()) {
         // Busy fraction of the pool: 1.0 means every worker simulated for
         // the whole sweep; low values mean queue-wait or load imbalance.
         reg->wall_gauge("exec.sweep.utilization", obs::Gauge::Kind::kLast)
-            ->set(busy / (elapsed * static_cast<double>(jobs)));
+            ->set(busy / (sweep_seconds * static_cast<double>(workers)));
       }
     }
   }
-
-  return results;
+  return outcome;
 }
 
 std::vector<cluster::RunResult> SweepRunner::gear_sweep(

@@ -1,4 +1,4 @@
-// The parallel sweep executor.
+// The sweep executor.
 //
 // A sweep is a list of independent (workload, nodes, gear, rep) points
 // over one ClusterConfig.  SweepRunner fans them out over a fixed pool
@@ -13,9 +13,28 @@
 // An optional ResultCache short-circuits points that were already
 // simulated — by this process or, with a disk store, by any earlier
 // one.  See docs/EXECUTOR.md.
+//
+// Both entry points share one per-point loop: validate, probe the cache,
+// run the attempt/retry loop under exception isolation, then fold results
+// and metrics in request order.  A failure — thrown by the simulation,
+// the cache, or a failpoint — is caught, classified (transient vs
+// permanent), retried up to SweepOptions::max_attempts times when
+// transient, and recorded as a JobFailure; no failure stops the other
+// points.  run_isolated() returns every completed result plus the
+// failure report.  run() validates the whole list first, finishes every
+// point, then rethrows the lowest-index failure's exception.  A per-point
+// wall-clock watchdog flags (never kills) points slower than
+// SweepOptions::watchdog_seconds.  Failpoints in util/failpoint.hpp key
+// off the point index, so failure schedules replay exactly under any
+// worker count.  See docs/RESILIENCE.md.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <exception>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cluster/dvfs.hpp"
@@ -41,6 +60,59 @@ struct SweepPoint {
   const cluster::PolicyFactory* policy = nullptr;
 };
 
+/// Thrown (by failpoints, I/O layers, or user workloads) to mark a
+/// failure worth retrying: the condition is environmental, not a
+/// deterministic property of the config.  classify_failure treats this
+/// type — and std::system_error / std::ios_base::failure — as transient;
+/// everything else (ContractError, SimulationError, ...) as permanent,
+/// because an identical re-run of a deterministic simulation can only
+/// fail identically.
+class TransientError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+enum class FailureKind { kTransient, kPermanent };
+const char* to_string(FailureKind kind);
+
+/// The executor's classification (see TransientError).
+[[nodiscard]] FailureKind classify_failure(const std::exception& e);
+
+/// One point's terminal failure, after retries were exhausted
+/// (transient) or skipped (permanent).
+struct JobFailure {
+  std::size_t index = 0;  ///< Position in the submitted point list.
+  std::string point;      ///< Human-readable point description.
+  std::string key;        ///< Cache-key hash hex ("" without a cache or
+                          ///< for points that failed validation).
+  int attempts = 0;       ///< Simulation attempts made (0 = failed
+                          ///< validation before any attempt).
+  FailureKind kind = FailureKind::kPermanent;  ///< Last failure's class.
+  std::string error;      ///< Last attempt's exception text.
+  double wall_seconds = 0.0;  ///< Wall time spent across all attempts.
+};
+
+/// Everything an isolated sweep produced.
+struct SweepOutcome {
+  /// Index-aligned with the submitted points; nullopt = that point failed
+  /// (its JobFailure is in `failures`).
+  std::vector<std::optional<cluster::RunResult>> results;
+  /// Terminal failures, ordered by point index.
+  std::vector<JobFailure> failures;
+  /// Points whose wall time exceeded the watchdog threshold (completed
+  /// or failed), ordered by point index.  Wall-clock derived: never
+  /// compare across runs.
+  std::vector<std::size_t> runaway;
+  /// Total retry attempts across all points (attempts beyond each
+  /// point's first).
+  std::uint64_t retries = 0;
+
+  [[nodiscard]] bool ok() const { return failures.empty(); }
+  [[nodiscard]] std::size_t completed() const;
+  /// Human-readable failure report (one line per failure; "" when ok).
+  [[nodiscard]] std::string report() const;
+};
+
 struct SweepOptions {
   /// Worker threads: 0 = GEARSIM_SWEEP_JOBS or serial, <0 = hardware
   /// concurrency (util/parallel.hpp resolve_jobs).
@@ -58,6 +130,11 @@ struct SweepOptions {
   /// profiling enabled, per-point wall durations and pool utilization
   /// are recorded too (kWall domain, never deterministic).
   obs::MetricsRegistry* metrics = nullptr;
+  /// Max simulation attempts per point (>= 1); only transient failures
+  /// retry, immediately.
+  int max_attempts = 1;
+  /// Flag points whose total wall time exceeds this; 0 = watchdog off.
+  double watchdog_seconds = 0.0;
 };
 
 class SweepRunner {
@@ -71,8 +148,18 @@ class SweepRunner {
   [[nodiscard]] const SweepOptions& options() const { return options_; }
 
   /// Run every point (cache hits skipped, misses simulated in parallel);
-  /// results in request order, bit-identical to a serial loop.
+  /// results in request order, bit-identical to a serial loop.  The
+  /// whole list is validated first, so a bad point throws ContractError
+  /// before any simulation or cache traffic.  A point that fails later
+  /// does not stop the others: every point finishes (and is cached),
+  /// then the lowest-index failure's exception is rethrown.
   [[nodiscard]] std::vector<cluster::RunResult> run(
+      const std::vector<SweepPoint>& points) const;
+
+  /// Run every point under per-point isolation and return what completed
+  /// plus the failure report; throws only for an internal error of the
+  /// executor itself.  A point that fails validation fails alone.
+  [[nodiscard]] SweepOutcome run_isolated(
       const std::vector<SweepPoint>& points) const;
 
   /// All gears at one node count, fastest first (the paper's energy-time
@@ -92,10 +179,7 @@ class SweepRunner {
       int repetitions) const;
 
   /// Validate one point against the config; throws ContractError on a
-  /// null workload or out-of-range nodes/gear/rep.  run() applies this to
-  /// the whole list up front (a bad point fails before any simulation
-  /// time is spent); SweepSupervisor applies it per job instead, so one
-  /// bad point fails alone.
+  /// null workload or out-of-range nodes/gear/rep.
   void validate_point(const SweepPoint& p) const;
 
   /// The point's content-addressed cache key (full config + workload
@@ -103,18 +187,21 @@ class SweepRunner {
   /// must be valid.
   [[nodiscard]] CacheKey point_key(const SweepPoint& p) const;
 
-  /// Simulate one validated point — no cache or sweep-level-metrics
-  /// interaction.  When `point_metrics` is non-null the run is
-  /// instrumented into it (callers fold per-point snapshots in request
-  /// order, preserving the determinism contract).  Thread-safe:
-  /// concurrent calls share nothing mutable.
-  [[nodiscard]] cluster::RunResult simulate_point(
-      const SweepPoint& p, obs::MetricsRegistry* point_metrics) const;
-
   /// Cache statistics (zeroes when no cache is attached).
   [[nodiscard]] CacheStats cache_stats() const;
 
  private:
+  /// The shared per-point loop behind run() and run_isolated().  When
+  /// `first_error` is non-null it receives the lowest-index failure's
+  /// exception (null when every point completed).
+  SweepOutcome execute(const std::vector<SweepPoint>& points,
+                       std::exception_ptr* first_error) const;
+
+  /// Simulate one validated point into `point_metrics` (may be null).
+  /// Thread-safe: concurrent calls share nothing mutable.
+  [[nodiscard]] cluster::RunResult simulate_point(
+      const SweepPoint& p, obs::MetricsRegistry* point_metrics) const;
+
   cluster::ExperimentRunner config_;
   SweepOptions options_;
 };

@@ -19,7 +19,7 @@
 //    the paper's uniform-gear runs.
 //
 // Two queue disciplines, shared by both arms:
-//  * kFifo  — strict order: the head job waits until it fits; and
+//  * kFifo  — arrival order: the head job waits until it fits; and
 //  * kGreedy — backfill: any queued job that fits may start (can starve
 //    wide jobs; compared in tests and the example).
 //

@@ -40,7 +40,7 @@ struct Request {
   int repeat = 1;  ///< sweep only (reps per gear).
   /// Routing topology spec (net/topology.hpp grammar), canonicalized at
   /// parse time; empty means the cluster preset's flat network.  Part of
-  /// the simulated config, so it shards the daemon's supervisor map and
+  /// the simulated config, so it shards the daemon's runner map and
   /// the cache keys exactly like the CLI's --topology flag.
   std::string topology;
 };

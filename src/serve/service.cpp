@@ -80,26 +80,25 @@ Service::Service(ServiceOptions options)
   if (options_.preload) cache_.preload();
 }
 
-const exec::SweepSupervisor& Service::supervisor_for(const Request& request) {
+const exec::SweepRunner& Service::runner_for(const Request& request) {
   // One runner per simulated configuration: the canonical topology spec
   // joins the cluster name in the key ('|' cannot occur in either).
   const std::string key = request.cluster + "|" + request.topology;
-  const std::lock_guard<std::mutex> lock(supervisors_mutex_);
-  auto it = supervisors_.find(key);
-  if (it == supervisors_.end()) {
+  const std::lock_guard<std::mutex> lock(runners_mutex_);
+  auto it = runners_.find(key);
+  if (it == runners_.end()) {
     exec::SweepOptions sweep;
     sweep.jobs = options_.jobs;
     sweep.cache = &cache_;
-    exec::SupervisorOptions sup;
-    sup.max_attempts = 1 + std::max(0, options_.retries);
+    sweep.max_attempts = 1 + std::max(0, options_.retries);
     cluster::ClusterConfig config = cluster_by_name(request.cluster);
     if (!request.topology.empty()) {
       cluster::install_topology(&config,
                                 net::parse_topology(request.topology));
     }
-    it = supervisors_
-             .emplace(key, std::make_unique<exec::SweepSupervisor>(
-                               std::move(config), sweep, sup))
+    it = runners_
+             .emplace(key, std::make_unique<exec::SweepRunner>(
+                               std::move(config), sweep))
              .first;
   }
   return *it->second;
@@ -107,8 +106,7 @@ const exec::SweepSupervisor& Service::supervisor_for(const Request& request) {
 
 std::vector<cluster::RunResult> Service::run_points(
     const Request& request, const std::vector<exec::SweepPoint>& points) {
-  const exec::SweepSupervisor& supervisor = supervisor_for(request);
-  const exec::SweepRunner& runner = supervisor.runner();
+  const exec::SweepRunner& runner = runner_for(request);
   // Validate the whole list up front: a bad coordinate is the *query's*
   // error and must fail before any claim or admission side effect.
   for (const exec::SweepPoint& p : points) runner.validate_point(p);
@@ -161,7 +159,7 @@ std::vector<cluster::RunResult> Service::run_points(
       for (const Claim& c : leaders) batch.push_back(points[c.index]);
       exec::SweepOutcome outcome;
       try {
-        outcome = supervisor.run(batch);
+        outcome = runner.run_isolated(batch);
       } catch (...) {
         for (const Claim& c : leaders) {
           inflight_.fail(keys[c.index].text, c.ticket,
@@ -318,8 +316,8 @@ std::string Service::handle_line(const std::string& line) {
 
 std::uint64_t Service::simulations() const {
   // Every service-level probe of a missing key counts one cache miss
-  // (outer_misses_) and every point the supervised runner dispatches
-  // counts exactly one more (its phase-1 probe; retries never re-probe).
+  // (outer_misses_) and every point the sweep runner dispatches counts
+  // exactly one more (its cache probe; retries never re-probe).
   // The difference is therefore the number of points that reached the
   // simulator — the exactly-once invariant the soak test asserts.
   const std::uint64_t total = cache_.stats().misses;

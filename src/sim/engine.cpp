@@ -261,27 +261,48 @@ void Engine::rethrow_process_error() {
   }
 }
 
-void Engine::run() {
-  GEARSIM_REQUIRE(!running_, "Engine::run is not reentrant");
-  running_ = true;
-  horizon_ = Seconds{std::numeric_limits<double>::infinity()};
-  while (!queue_.empty()) {
-    dispatch_one();
-    rethrow_process_error();
+namespace {
+
+/// Holds Engine::running_ true for one run and clears it on every exit,
+/// including an event or process body that throws out of the run: the
+/// caller may catch and run the same engine again.
+class RunningFlag {
+ public:
+  explicit RunningFlag(bool& flag) : flag_(flag) {
+    GEARSIM_REQUIRE(!flag_, "Engine::run is not reentrant");
+    flag_ = true;
   }
-  running_ = false;
+  ~RunningFlag() { flag_ = false; }
+  RunningFlag(const RunningFlag&) = delete;
+  RunningFlag& operator=(const RunningFlag&) = delete;
+
+ private:
+  bool& flag_;
+};
+
+}  // namespace
+
+void Engine::run() {
+  {
+    const RunningFlag running(running_);
+    horizon_ = Seconds{std::numeric_limits<double>::infinity()};
+    while (!queue_.empty()) {
+      dispatch_one();
+      rethrow_process_error();
+    }
+  }
   check_deadlock();
 }
 
 void Engine::run_until(Seconds t) {
-  GEARSIM_REQUIRE(!running_, "Engine::run is not reentrant");
-  running_ = true;
-  horizon_ = t;
-  while (!queue_.empty() && queue_.next_time() <= t) {
-    dispatch_one();
-    rethrow_process_error();
+  {
+    const RunningFlag running(running_);
+    horizon_ = t;
+    while (!queue_.empty() && queue_.next_time() <= t) {
+      dispatch_one();
+      rethrow_process_error();
+    }
   }
-  running_ = false;
   if (now_ < t && queue_.empty()) now_ = t;
 }
 

@@ -1,7 +1,7 @@
 // Discrete-event simulation engine with cooperative processes.
 //
 // One serial engine runs every simulation.  It owns simulated time and an
-// event queue dispatched in strict (time, seq) order: earlier times
+// event queue dispatched in ascending (time, seq) order: earlier times
 // first, simultaneous events in insertion order.  The queue is a 4-ary
 // heap of 16-byte keys (see sim/event_queue.hpp); against the calendar
 // queue it replaced, it took a 1024-rank SHIFT run from 271 to 226 ms and

@@ -1,6 +1,6 @@
 // Event queue for the discrete-event kernel.
 //
-// Dispatch order is a hard contract: events fire in strict (time, seq)
+// Dispatch order is a hard contract: events fire in ascending (time, seq)
 // order — earlier times first, simultaneous events in insertion order
 // (FIFO) — which keeps the whole simulation deterministic.  The golden
 // order hashes in sim_test and cluster_test pin that order across kernel

@@ -39,8 +39,8 @@ int resolve_jobs(int jobs);
 /// would have hit first; items above the failing range may be skipped.
 /// Nothing runs — and nothing writes into caller state — after the
 /// rethrow, so the caller may immediately reuse its buffers or call
-/// parallel_for_ordered again (per-job isolation with no abort lives a
-/// level up, in exec::SweepSupervisor).
+/// parallel_for_ordered again (per-point isolation with no early stop
+/// lives a level up, in exec::SweepRunner).
 void parallel_for_ordered(int jobs, std::size_t n,
                           const std::function<void(std::size_t)>& fn);
 

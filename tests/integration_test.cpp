@@ -173,7 +173,7 @@ TEST_F(PaperClaims, SlowdownBoundAcrossTheSuiteAndNodeCounts) {
     for (std::size_t g = 1; g < c.points.size(); ++g) {
       const double ratio = c.points[g].time / c.points[g - 1].time;
       // Multi-node runs tolerate ~1% inversions from contention timing
-      // realignment; the upper bound is strict.
+      // realignment; the upper bound has no slack.
       EXPECT_GE(ratio, 1.0 - 0.015) << e.name;
       EXPECT_LE(ratio, gears.gear(g - 1).frequency / gears.gear(g).frequency +
                            1e-9)

@@ -320,6 +320,47 @@ TEST(Engine, ProcessErrorRethrowsRightAfterItsEvent) {
   EXPECT_TRUE(e.has_pending());
 }
 
+TEST(Engine, RunAfterAThrowingEventContinuesTheSameEngine) {
+  // An event body that throws out of run() must leave the engine
+  // runnable: the caller catches and the next run() dispatches the rest.
+  Engine e;
+  std::vector<int> fired;
+  e.schedule_at(seconds(1.0), [&] { fired.push_back(1); });
+  e.schedule_at(seconds(2.0), [] { throw std::runtime_error("bad event"); });
+  e.schedule_at(seconds(3.0), [&] { fired.push_back(3); });
+  EXPECT_THROW(e.run(), std::runtime_error);
+  EXPECT_EQ(e.now(), seconds(2.0));
+  EXPECT_EQ(fired, (std::vector<int>{1}));
+  e.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 3}));
+  EXPECT_EQ(e.now(), seconds(3.0));
+  EXPECT_FALSE(e.has_pending());
+}
+
+TEST(Engine, RunUntilAfterAThrowingProcessContinuesTheSameEngine) {
+  // The same for a process body under run_until(): the error surfaces
+  // once, and the surviving process then runs to completion.
+  Engine e;
+  bool survivor_done = false;
+  e.spawn("boom", [](Process& p) {
+    p.delay(seconds(1.0));
+    throw std::runtime_error("kaboom");
+  });
+  e.spawn("survivor", [&](Process& p) {
+    p.delay(seconds(2.0));
+    p.delay(seconds(2.0));
+    survivor_done = true;
+  });
+  EXPECT_THROW(e.run_until(seconds(10.0)), std::runtime_error);
+  EXPECT_EQ(e.now(), seconds(1.0));
+  e.run_until(seconds(3.0));
+  EXPECT_EQ(e.now(), seconds(2.0));  // The survivor's wakeup is still due.
+  EXPECT_FALSE(survivor_done);
+  e.run();
+  EXPECT_TRUE(survivor_done);
+  EXPECT_EQ(e.now(), seconds(4.0));
+}
+
 /// Resident set size of this process in KiB (0 if unreadable).
 long resident_kib() {
   std::ifstream in("/proc/self/status");

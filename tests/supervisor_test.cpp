@@ -1,9 +1,11 @@
-// Tests for supervised sweep execution: per-job failure isolation,
-// transient-vs-permanent retry classification, the wall-clock watchdog,
-// strict-mode throw-through, and the determinism contract (completed
-// results bit-identical to an unsupervised SweepRunner).  Every fault is
-// injected through util::Failpoints keyed by job index, so each failure
-// schedule replays exactly under any worker count.
+// Tests for the sweep executor's failure handling: per-point isolation
+// in SweepRunner::run_isolated, transient-vs-permanent retry
+// classification, the wall-clock watchdog, run()'s rethrow of the
+// lowest-index failure after every point drains, and the determinism
+// contract (both entry points produce bit-identical results).  Every
+// fault is injected through util::Failpoints keyed by point index, so
+// each failure schedule replays exactly under any worker count.  The
+// suite keeps its historical gtest name so test IDs stay stable.
 //
 // The Soak* tests are the CI resilience gate: a 200-job sweep under a
 // seeded random failure pattern plus store-write corruption must complete
@@ -23,7 +25,6 @@
 #include "exec/result_cache.hpp"
 #include "exec/result_io.hpp"
 #include "exec/store.hpp"
-#include "exec/supervisor.hpp"
 #include "exec/sweep_runner.hpp"
 #include "obs/metrics.hpp"
 #include "util/failpoint.hpp"
@@ -80,11 +81,11 @@ FailpointSpec at_indices(std::vector<std::int64_t> indices,
 TEST(SweepSupervisorTest, IsolatesOneFailingJob) {
   const workloads::Jacobi jacobi = tiny_jacobi();
   const auto points = make_points(jacobi, 4);
-  const SweepSupervisor supervisor(cluster::athlon_cluster());
+  const SweepRunner runner(cluster::athlon_cluster());
   const ScopedFailpoint fp("exec.supervisor.job.throw_permanent",
                            at_indices({2}));
 
-  const SweepOutcome outcome = supervisor.run(points);
+  const SweepOutcome outcome = runner.run_isolated(points);
   EXPECT_FALSE(outcome.ok());
   EXPECT_EQ(outcome.completed(), 3u);
   ASSERT_EQ(outcome.failures.size(), 1u);
@@ -106,14 +107,14 @@ TEST(SweepSupervisorTest, TransientFailureRetriesToSuccess) {
   const SweepRunner reference(cluster::athlon_cluster());
   const auto clean = reference.run(points);
 
-  SupervisorOptions sup;
-  sup.max_attempts = 3;
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), {}, sup);
+  SweepOptions options;
+  options.max_attempts = 3;
+  const SweepRunner runner(cluster::athlon_cluster(), options);
   // Job 0 throws a TransientError on its first two attempts only.
   const ScopedFailpoint fp("exec.supervisor.job.throw",
                            at_indices({0}, /*times=*/2));
 
-  const SweepOutcome outcome = supervisor.run(points);
+  const SweepOutcome outcome = runner.run_isolated(points);
   EXPECT_TRUE(outcome.ok());
   EXPECT_EQ(outcome.retries, 2u);
   ASSERT_TRUE(outcome.results[0].has_value());
@@ -126,39 +127,19 @@ TEST(SweepSupervisorTest, TransientFailureRetriesToSuccess) {
 TEST(SweepSupervisorTest, TransientRetryBudgetExhausts) {
   const workloads::Jacobi jacobi = tiny_jacobi();
   const auto points = make_points(jacobi, 2);
-  SupervisorOptions sup;
-  sup.max_attempts = 2;
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), {}, sup);
+  SweepOptions options;
+  options.max_attempts = 2;
+  const SweepRunner runner(cluster::athlon_cluster(), options);
   const ScopedFailpoint fp("exec.supervisor.job.throw",
                            at_indices({1}, /*times=*/-1));
 
-  const SweepOutcome outcome = supervisor.run(points);
+  const SweepOutcome outcome = runner.run_isolated(points);
   ASSERT_EQ(outcome.failures.size(), 1u);
   EXPECT_EQ(outcome.failures[0].index, 1u);
   EXPECT_EQ(outcome.failures[0].attempts, 2);
   EXPECT_EQ(outcome.failures[0].kind, FailureKind::kTransient);
   EXPECT_EQ(outcome.retries, 1u);
   EXPECT_TRUE(outcome.results[0].has_value());
-}
-
-TEST(SweepSupervisorTest, CustomClassifierOverridesDefault) {
-  const workloads::Jacobi jacobi = tiny_jacobi();
-  const auto points = make_points(jacobi, 1);
-  SupervisorOptions sup;
-  sup.max_attempts = 3;
-  // Treat even the permanent failpoint's SimulationError as transient:
-  // the job must then burn the whole retry budget.
-  sup.classify = [](const std::exception&) {
-    return FailureKind::kTransient;
-  };
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), {}, sup);
-  const ScopedFailpoint fp("exec.supervisor.job.throw_permanent",
-                           at_indices({0}, /*times=*/-1));
-
-  const SweepOutcome outcome = supervisor.run(points);
-  ASSERT_EQ(outcome.failures.size(), 1u);
-  EXPECT_EQ(outcome.failures[0].attempts, 3);
-  EXPECT_EQ(outcome.failures[0].kind, FailureKind::kTransient);
 }
 
 TEST(SweepSupervisorTest, DefaultClassification) {
@@ -175,34 +156,33 @@ TEST(SweepSupervisorTest, DefaultClassification) {
             FailureKind::kPermanent);
 }
 
-// ---- validation, strict mode, watchdog --------------------------------------
+// ---- validation, rethrow after drain, watchdog -----------------------------
 
 TEST(SweepSupervisorTest, EscapedJobExceptionIsContainedAndBookkept) {
   // Regression for the watchdog-vs-fail-fast race: an exception escaping
-  // the per-attempt retry loop (classification, allocation, the escape
-  // failpoint itself) used to propagate into parallel_for_ordered, whose
-  // fail-fast stop abandoned not-yet-claimed jobs and skipped the
-  // watchdog bookkeeping for in-flight ones.  The outer catch now turns
+  // the per-attempt retry loop (allocation, the escape failpoint itself)
+  // used to propagate into parallel_for_ordered, whose fail-fast stop
+  // abandoned not-yet-claimed jobs and skipped the watchdog bookkeeping
+  // for in-flight ones.  The outer catch now turns
   // any escape into a permanent JobFailure, so every other job still
   // runs and every completed job still gets its watchdog check.
   const workloads::Jacobi jacobi = tiny_jacobi();
   const auto points = make_points(jacobi, 6);
-  SweepOptions sweep;
-  sweep.jobs = 2;
-  SupervisorOptions sup;
+  SweepOptions options;
+  options.jobs = 2;
   // A watchdog threshold of ~zero flags every completed job: proves the
   // flagging pass ran for all of them despite the escape.
-  sup.watchdog_seconds = 1e-9;
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), sweep, sup);
+  options.watchdog_seconds = 1e-9;
+  const SweepRunner runner(cluster::athlon_cluster(), options);
   const ScopedFailpoint fp("exec.supervisor.job.escape", at_indices({3}));
 
-  const SweepOutcome outcome = supervisor.run(points);
+  const SweepOutcome outcome = runner.run_isolated(points);
   EXPECT_EQ(outcome.completed(), 5u);  // No abandoned tail.
   ASSERT_EQ(outcome.failures.size(), 1u);
   const JobFailure& f = outcome.failures[0];
   EXPECT_EQ(f.index, 3u);
   EXPECT_EQ(f.kind, FailureKind::kPermanent);
-  EXPECT_NE(f.error.find("supervisor job escape:"), std::string::npos);
+  EXPECT_NE(f.error.find("sweep job escape:"), std::string::npos);
   EXPECT_NE(f.error.find("exec.supervisor.job.escape"), std::string::npos);
   // Watchdog flags every *completed* job (5 of 6) — the escaped job never
   // finished an attempt, so it is not in the runaway list, and the list
@@ -217,8 +197,8 @@ TEST(SweepSupervisorTest, ValidationFailureIsIsolated) {
   std::vector<SweepPoint> points = make_points(jacobi, 3);
   points[1].nodes = 0;  // Invalid: fails validate_point.
 
-  const SweepSupervisor supervisor(cluster::athlon_cluster());
-  const SweepOutcome outcome = supervisor.run(points);
+  const SweepRunner runner(cluster::athlon_cluster());
+  const SweepOutcome outcome = runner.run_isolated(points);
   EXPECT_EQ(outcome.completed(), 2u);
   ASSERT_EQ(outcome.failures.size(), 1u);
   EXPECT_EQ(outcome.failures[0].index, 1u);
@@ -226,37 +206,60 @@ TEST(SweepSupervisorTest, ValidationFailureIsIsolated) {
   EXPECT_EQ(outcome.failures[0].kind, FailureKind::kPermanent);
 }
 
-TEST(SweepSupervisorTest, StrictModeRethrowsLowestIndexFailure) {
+TEST(SweepSupervisorTest, RunRethrowsLowestIndexFailureAfterDraining) {
   const workloads::Jacobi jacobi = tiny_jacobi();
   const auto points = make_points(jacobi, 4);
-  SupervisorOptions sup;
-  sup.strict = true;
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), {}, sup);
-  const ScopedFailpoint fp("exec.supervisor.job.throw_permanent",
-                           at_indices({3, 1}));
-
-  try {
-    (void)supervisor.run(points);
-    FAIL() << "strict mode must rethrow";
-  } catch (const SimulationError& e) {
-    // The lowest-index failure, matching what serial throw-through
-    // surfaces first.
-    EXPECT_NE(std::string(e.what()).find("job 1"), std::string::npos);
+  for (const int jobs : {1, 4}) {
+    const ScopedFailpoint fp("exec.supervisor.job.throw_permanent",
+                             at_indices({3, 1}));
+    ResultCache cache;
+    SweepOptions options;
+    options.jobs = jobs;
+    options.cache = &cache;
+    const SweepRunner runner(cluster::athlon_cluster(), options);
+    try {
+      (void)runner.run(points);
+      ADD_FAILURE() << "run() must rethrow (jobs=" << jobs << ")";
+    } catch (const SimulationError& e) {
+      // The lowest-index failure, matching what a serial loop surfaces
+      // first.
+      EXPECT_NE(std::string(e.what()).find("job 1"), std::string::npos)
+          << "jobs=" << jobs;
+    }
+    // Every other point still ran and was cached before the rethrow.
+    EXPECT_EQ(cache.stats().insertions, 2u) << "jobs=" << jobs;
+    EXPECT_TRUE(cache.lookup(runner.point_key(points[0])).has_value());
+    EXPECT_TRUE(cache.lookup(runner.point_key(points[2])).has_value());
+    EXPECT_FALSE(cache.lookup(runner.point_key(points[1])).has_value());
+    EXPECT_FALSE(cache.lookup(runner.point_key(points[3])).has_value());
   }
+}
+
+TEST(SweepSupervisorTest, RunValidatesWholeListBeforeAnyCacheTraffic) {
+  const workloads::Jacobi jacobi = tiny_jacobi();
+  std::vector<SweepPoint> points = make_points(jacobi, 3);
+  points[2].gear_index = 99;  // Invalid: fails validate_point.
+  ResultCache cache;
+  SweepOptions options;
+  options.cache = &cache;
+  const SweepRunner runner(cluster::athlon_cluster(), options);
+  EXPECT_THROW((void)runner.run(points), ContractError);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses + stats.insertions, 0u);
 }
 
 TEST(SweepSupervisorTest, WatchdogFlagsRunawayJob) {
   const workloads::Jacobi jacobi = tiny_jacobi();
   const auto points = make_points(jacobi, 3);
-  SupervisorOptions sup;
-  sup.watchdog_seconds = 0.005;
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), {}, sup);
+  SweepOptions options;
+  options.watchdog_seconds = 0.005;
+  const SweepRunner runner(cluster::athlon_cluster(), options);
   // Job 1 stalls for 50 ms of wall time — a runaway config.  It still
   // completes: the watchdog flags, it never kills.
   const ScopedFailpoint fp("exec.supervisor.job.slow",
                            at_indices({1}, /*times=*/1, /*arg=*/50));
 
-  const SweepOutcome outcome = supervisor.run(points);
+  const SweepOutcome outcome = runner.run_isolated(points);
   EXPECT_TRUE(outcome.ok());
   EXPECT_EQ(outcome.completed(), 3u);
   ASSERT_FALSE(outcome.runaway.empty());
@@ -273,11 +276,13 @@ TEST(SweepSupervisorTest, MatchesUnsupervisedRunnerBitIdentical) {
   serial.jobs = 1;
   SweepOptions wide;
   wide.jobs = 8;
+  // The two entry points over one loop: run() serial against
+  // run_isolated() on eight workers.
   const SweepRunner runner(cluster::athlon_cluster(), serial);
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), wide);
+  const SweepRunner isolated(cluster::athlon_cluster(), wide);
 
   const auto reference = runner.run(points);
-  const SweepOutcome outcome = supervisor.run(points);
+  const SweepOutcome outcome = isolated.run_isolated(points);
   ASSERT_TRUE(outcome.ok());
   ASSERT_EQ(outcome.results.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
@@ -292,11 +297,11 @@ TEST(SweepSupervisorTest, FailedJobDoesNotPoisonCache) {
   ResultCache cache;
   SweepOptions options;
   options.cache = &cache;
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), options);
+  const SweepRunner runner(cluster::athlon_cluster(), options);
   {
     const ScopedFailpoint fp("exec.supervisor.job.throw_permanent",
                              at_indices({0}));
-    const SweepOutcome outcome = supervisor.run(points);
+    const SweepOutcome outcome = runner.run_isolated(points);
     EXPECT_EQ(outcome.completed(), 1u);
     EXPECT_EQ(cache.stats().insertions, 1u);  // Only the success cached.
     ASSERT_EQ(outcome.failures.size(), 1u);
@@ -304,7 +309,7 @@ TEST(SweepSupervisorTest, FailedJobDoesNotPoisonCache) {
   }
   // Failpoint gone: the failed point simulates (a miss, not a poisoned
   // hit), the completed one is served from memory.
-  const SweepOutcome retry = supervisor.run(points);
+  const SweepOutcome retry = runner.run_isolated(points);
   EXPECT_TRUE(retry.ok());
   EXPECT_EQ(cache.stats().hits, 1u);
   const SweepRunner reference(cluster::athlon_cluster());
@@ -318,17 +323,53 @@ TEST(SweepSupervisorTest, ReportsSupervisionMetrics) {
   obs::MetricsRegistry reg;
   SweepOptions options;
   options.metrics = &reg;
-  SupervisorOptions sup;
-  sup.max_attempts = 2;
-  const SweepSupervisor supervisor(cluster::athlon_cluster(), options, sup);
+  options.max_attempts = 2;
+  const SweepRunner runner(cluster::athlon_cluster(), options);
   const ScopedFailpoint fp("exec.supervisor.job.throw",
                            at_indices({2}, /*times=*/-1));
 
-  const SweepOutcome outcome = supervisor.run(points);
+  const SweepOutcome outcome = runner.run_isolated(points);
   EXPECT_EQ(outcome.failures.size(), 1u);
   EXPECT_EQ(reg.counter("exec.supervisor.jobs").value(), 3u);
   EXPECT_EQ(reg.counter("exec.supervisor.failures").value(), 1u);
   EXPECT_EQ(reg.counter("exec.supervisor.retries").value(), 1u);
+  EXPECT_EQ(reg.counter("exec.sweep.points").value(), 3u);
+}
+
+TEST(SweepSupervisorTest, BothEntryPointsEmitTheSameMetrics) {
+  // One fold behind both entry points: the same points through run()
+  // and run_isolated() give the same snapshot, key for key and value for
+  // value (the registries profile no wall time).
+  const workloads::Jacobi jacobi = tiny_jacobi();
+  const auto points = make_points(jacobi, 4);
+  const auto sweep_metrics = [&](bool isolated) {
+    ResultCache cache;
+    obs::MetricsRegistry reg;
+    SweepOptions options;
+    options.cache = &cache;
+    options.metrics = &reg;
+    const SweepRunner runner(cluster::athlon_cluster(), options);
+    if (isolated) {
+      EXPECT_TRUE(runner.run_isolated(points).ok());
+    } else {
+      (void)runner.run(points);
+    }
+    return reg.snapshot();
+  };
+  const obs::MetricsSnapshot via_run = sweep_metrics(false);
+  const obs::MetricsSnapshot via_isolated = sweep_metrics(true);
+  for (const char* key :
+       {"exec.sweep.points", "exec.supervisor.jobs", "exec.supervisor.failures",
+        "exec.supervisor.retries", "exec.cache.hits", "exec.cache.misses",
+        "exec.cache.insertions", "exec.cache.evictions"}) {
+    EXPECT_EQ(via_run.metrics.count(key), 1u) << key;
+  }
+  ASSERT_EQ(via_run.metrics.size(), via_isolated.metrics.size());
+  for (const auto& [key, metric] : via_run.metrics) {
+    ASSERT_EQ(via_isolated.metrics.count(key), 1u) << key;
+    EXPECT_EQ(metric.count, via_isolated.metrics.at(key).count) << key;
+    EXPECT_EQ(metric.value, via_isolated.metrics.at(key).value) << key;
+  }
 }
 
 // ---- soak: the CI resilience gate -------------------------------------------
@@ -359,7 +400,7 @@ TEST(SoakTest, SupervisedSweepUnderSeededFaults) {
     ResultCache cache(cache_options);
     SweepOptions options;
     options.cache = &cache;
-    const SweepSupervisor supervisor(cluster::athlon_cluster(), options);
+    const SweepRunner runner(cluster::athlon_cluster(), options);
     const ScopedFailpoint fail_jobs(
         "exec.supervisor.job.throw_permanent",
         at_indices({failing.begin(), failing.end()}, /*times=*/-1));
@@ -369,7 +410,7 @@ TEST(SoakTest, SupervisedSweepUnderSeededFaults) {
     torn.every = 7;
     const ScopedFailpoint tear_writes("exec.store.write.truncate", torn);
 
-    const SweepOutcome outcome = supervisor.run(points);
+    const SweepOutcome outcome = runner.run_isolated(points);
     EXPECT_EQ(outcome.completed(), kJobs - failing.size());
     ASSERT_EQ(outcome.failures.size(), failing.size());
     for (const JobFailure& f : outcome.failures) {
@@ -395,8 +436,8 @@ TEST(SoakTest, SupervisedSweepUnderSeededFaults) {
     ResultCache cache(cache_options);
     SweepOptions options;
     options.cache = &cache;
-    const SweepSupervisor supervisor(cluster::athlon_cluster(), options);
-    const SweepOutcome warm = supervisor.run(points);
+    const SweepRunner runner(cluster::athlon_cluster(), options);
+    const SweepOutcome warm = runner.run_isolated(points);
     EXPECT_TRUE(warm.ok());
     EXPECT_EQ(warm.results.size(), kJobs);
     for (std::size_t i = 0; i < kJobs; ++i) {

@@ -33,9 +33,9 @@
 // independent points over worker threads (bit-identical to serial),
 // --cache DIR skips points already simulated by any earlier invocation
 // (content-addressed; see docs/EXECUTOR.md).  `sweep --keep-going` runs
-// under exec::SweepSupervisor instead: one failing point no longer
-// aborts the sweep — completed gears print, failures are reported, and
-// the exit code is 1 (see docs/RESILIENCE.md).
+// through exec::SweepRunner::run_isolated instead: one failing point no
+// longer fails the sweep — completed gears print, failures are reported,
+// and the exit code is 1 (see docs/RESILIENCE.md).
 //
 // `cache verify` walks a result-store directory validating every entry
 // (header, length, FNV-1a checksum, JSON decode) read-only; `cache
@@ -69,7 +69,6 @@
 #include "exec/cache_key.hpp"
 #include "exec/result_cache.hpp"
 #include "exec/store.hpp"
-#include "exec/supervisor.hpp"
 #include "exec/sweep_runner.hpp"
 #include "model/analytic.hpp"
 #include "model/pipeline.hpp"
@@ -359,7 +358,7 @@ void print_cache_stats(const exec::ResultCache* cache) {
 /// sweep`: one row per gear, repetitions averaged, so a daemon-served
 /// sweep prints byte-identically to a cold local one.  `runs` is the
 /// flat gears x repeat point list in sweep order; a missing entry is a
-/// failed rep (supervised mode).
+/// failed rep (--keep-going).
 TextTable sweep_table(const cluster::ClusterConfig& config, int repeat,
                       const std::vector<std::optional<cluster::RunResult>>& runs) {
   TextTable table(repeat > 1
@@ -375,7 +374,7 @@ TextTable sweep_table(const cluster::ClusterConfig& config, int repeat,
     for (int rep = 0; rep < repeat; ++rep) {
       const auto& r = runs[g * static_cast<std::size_t>(repeat) +
                            static_cast<std::size_t>(rep)];
-      if (!r.has_value()) continue;  // Supervised mode: failed rep.
+      if (!r.has_value()) continue;  // --keep-going: failed rep.
       time_s.add(r->wall.value());
       energy_j.add(r->energy.value());
       if (gear_label == 0) gear_label = r->gear_label;
@@ -423,23 +422,20 @@ int cmd_sweep(const Args& args) {
     }
   }
 
-  // --keep-going: supervised execution — failed points are reported and
+  // --keep-going: isolated execution — failed points are reported and
   // the rest of the curve still prints (exit 1 signals the partial).
   const bool keep_going = args.has("keep-going");
   std::vector<std::optional<cluster::RunResult>> runs;
   exec::SweepOutcome outcome;
   if (keep_going) {
-    exec::SupervisorOptions supervise;
-    supervise.max_attempts = args.get_int("retries", 3);
-    supervise.watchdog_seconds = std::stod(args.get("watchdog", "0"));
-    const exec::SweepSupervisor supervisor(config, options, supervise);
-    outcome = supervisor.run(points);
-    runs = outcome.results;
+    options.max_attempts = args.get_int("retries", 3);
+    options.watchdog_seconds = std::stod(args.get("watchdog", "0"));
+    outcome = exec::SweepRunner(config, options).run_isolated(points);
+    runs = std::move(outcome.results);
   } else {
-    const exec::SweepRunner runner(config, options);
-    auto all = runner.run(points);
-    runs.reserve(all.size());
-    for (auto& r : all) runs.emplace_back(std::move(r));
+    for (auto& r : exec::SweepRunner(config, options).run(points)) {
+      runs.emplace_back(std::move(r));
+    }
   }
 
   const TextTable table = sweep_table(config, repeat, runs);
@@ -453,7 +449,7 @@ int cmd_sweep(const Args& args) {
   }
   for (std::size_t index : outcome.runaway) {
     std::cout << "watchdog: job #" << index << " exceeded "
-              << fmt_fixed(std::stod(args.get("watchdog", "0")), 3)
+              << fmt_fixed(options.watchdog_seconds, 3)
               << " s of wall time\n";
   }
   sink.add_identity(config, *workload);
