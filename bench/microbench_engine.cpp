@@ -15,6 +15,11 @@
 //   * jacobi8.pool_fallback_allocs — fallback allocations across a real
 //     8-node Jacobi experiment, read from the obs registry; proves the
 //     inline buffer covers every capture the library's own layers create.
+//   * mpi.allocs_per_message_steady — heap allocations per message once
+//     a two-rank exchange (eager and rendezvous, nonblocking and
+//     blocking, early and late receives) has warmed up: exactly 0, since
+//     eager sends carry no request state and pending operations reuse
+//     the World's pooled slots.
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -25,8 +30,11 @@
 
 #include "cluster/experiment.hpp"
 #include "harness.hpp"
+#include "mpi/comm.hpp"
+#include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
+#include "trace/analysis.hpp"
 #include "workloads/jacobi.hpp"
 
 // --- instrumented global allocator -----------------------------------------
@@ -198,6 +206,62 @@ int run(bench::BenchContext& ctx) {
                    registry.counter("sim.engine.pool.inline_events").value()));
     ctx.metric("jacobi8.event_order_hash_low32",
                static_cast<double>(r.event_order_hash & 0xffffffffULL));
+  }
+
+  // --- allocations per MPI message, steady state -------------------------
+  // Two ranks exchange per round: an eager isend/irecv pair, a blocking
+  // eager send/recv and a rendezvous sendrecv, with the breakdown fold
+  // attached as ExperimentRunner attaches it.  Rank 1 lags rank 0 by a
+  // varying delay, so receives land both before and after their
+  // messages (posted list and unexpected queue).  Rank 0 samples the
+  // allocator after the warm-up rounds and at the end of the measured
+  // ones.  Deterministic, so the gate pins it.
+  {
+    constexpr int kWarmup = 200;
+    constexpr int kRounds = 2'000;
+    constexpr int kMessagesPerRound = 6;  // Three per rank.
+    sim::Engine engine;
+    net::Network network(net::ethernet_100mbps(), 2);
+    mpi::MpiParams params;
+    params.eager_threshold = 1024;
+    mpi::World world(engine, network, 2, params);
+    trace::BreakdownObserver fold(2);
+    world.add_observer(&fold);
+    std::uint64_t before = 0;
+    std::uint64_t after = 0;
+    for (int r = 0; r < 2; ++r) {
+      sim::Process& proc = engine.spawn(
+          "rank" + std::to_string(r), [&, r](sim::Process& p) {
+            mpi::Comm comm(world, r);
+            const mpi::Rank peer = 1 - r;
+            for (int i = 0; i < kWarmup + kRounds; ++i) {
+              if (r == 0 && i == kWarmup) {
+                before = g_allocs.load(std::memory_order_relaxed);
+              }
+              if (r == 1) p.delay(microseconds(50.0 * (i % 4)));
+              mpi::Request reqs[2] = {comm.irecv(peer, 0),
+                                      comm.isend(peer, 0, 512)};
+              comm.waitall(reqs);
+              if (r == 0) {
+                comm.send(peer, 1, 256);
+                comm.recv(peer, 1);
+              } else {
+                comm.recv(peer, 1);
+                comm.send(peer, 1, 256);
+              }
+              comm.sendrecv(peer, 2, 4096, peer, 2);
+            }
+            if (r == 0) after = g_allocs.load(std::memory_order_relaxed);
+          });
+      world.bind_rank(r, proc);
+    }
+    engine.run();
+    const double allocs_per_message =
+        static_cast<double>(after - before) /
+        static_cast<double>(kRounds * kMessagesPerRound);
+    ctx.metric("mpi.allocs_per_message_steady", allocs_per_message);
+    std::cout << "steady-state allocs/message: " << allocs_per_message
+              << "\n";
   }
 
   return 0;

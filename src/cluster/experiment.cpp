@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "cluster/dvfs.hpp"
 #include "faults/injector.hpp"
 #include "faults/restart_model.hpp"
 #include "mpi/world.hpp"
 #include "power/energy_meter.hpp"
-#include "trace/timeline.hpp"
 #include "sim/engine.hpp"
+#include "trace/analysis.hpp"
 #include "trace/export.hpp"
+#include "trace/timeline.hpp"
 #include "trace/tracer.hpp"
 #include "util/assert.hpp"
 #include "util/failpoint.hpp"
@@ -23,8 +25,9 @@ namespace {
 /// MPI observer that parks a rank at its policy's comm gear on entry to a
 /// blocking call and restores the compute gear on exit — the runnable
 /// form of the paper's "automatically reduce the energy gear" future
-/// work.  Registered after the tracer, so traced call durations include
-/// the downshift transition (as they would with a real DVFS-aware MPI).
+/// work.  Registered after the breakdown fold and the tracer, so traced
+/// call durations include the downshift transition (as they would with a
+/// real DVFS-aware MPI).
 class DvfsDriver final : public mpi::CallObserver {
  public:
   DvfsDriver(GearPolicy& policy, std::vector<RankContext*>& contexts)
@@ -123,8 +126,15 @@ RunResult ExperimentRunner::run(const Workload& workload, int nodes,
   engine.set_metrics(options.metrics);
   network.set_metrics(options.metrics);
   mpi::World world(engine, network, nodes, config_.mpi);
-  trace::Tracer tracer(static_cast<std::size_t>(nodes));
-  world.add_observer(&tracer);
+  // The breakdown folds online as calls exit; the record store exists only
+  // when a trace export asks for it.  Neither observer changes the time
+  // any call sees, so the RunResult is the same with or without export.
+  trace::BreakdownObserver breakdown(static_cast<std::size_t>(nodes));
+  world.add_observer(&breakdown);
+  std::optional<trace::Tracer> tracer;
+  if (!options.trace_csv_path.empty() || !options.timeline_svg_path.empty()) {
+    world.add_observer(&tracer.emplace(static_cast<std::size_t>(nodes)));
+  }
   power::EnergyMeter meter(static_cast<std::size_t>(nodes));
 
   // Fault layer.  An absent or empty plan installs nothing at all, so the
@@ -246,6 +256,13 @@ RunResult ExperimentRunner::run(const Workload& workload, int nodes,
     for (auto& mm : multimeters) {
       if (mm->running()) mm->stop();
     }
+  } catch (...) {
+    // Any other failure (a rank body's exception, a deadlock) ends the
+    // run too.  Unwind the suspended ranks while the world, observers and
+    // meter their frames reference are alive; ~Engine would run after
+    // these locals are gone.
+    engine.terminate_processes();
+    throw;
   }
 
   const Seconds wall =
@@ -288,7 +305,14 @@ RunResult ExperimentRunner::run(const Workload& workload, int nodes,
   result.energy = meter.total_energy();
   result.active_energy = meter.total_active_energy();
   result.idle_energy = meter.total_idle_energy();
-  result.breakdown = trace::analyze_cluster(tracer, Seconds{}, wall);
+  result.breakdown = breakdown.breakdown(wall);
+  if (tracer.has_value()) {
+    // A run that keeps its records replays them through the same fold:
+    // the stored trace is the oracle for the online breakdown.
+    GEARSIM_ENSURE(trace::analyze_cluster(*tracer, Seconds{}, wall) ==
+                       result.breakdown,
+                   "online breakdown diverged from the stored trace");
+  }
   result.mpi_calls = world.traced_calls();
   result.event_order_hash = engine.order_hash();
   result.event_set_hash = engine.event_set_hash();
@@ -385,10 +409,10 @@ RunResult ExperimentRunner::run(const Workload& workload, int nodes,
     }
   }
   if (!options.trace_csv_path.empty()) {
-    trace::export_csv_file(tracer, options.trace_csv_path, fault_log);
+    trace::export_csv_file(*tracer, options.trace_csv_path, fault_log);
   }
   if (!options.timeline_svg_path.empty()) {
-    trace::write_timeline(tracer, wall,
+    trace::write_timeline(*tracer, wall,
                            workload.name() + " on " + std::to_string(nodes) +
                                " nodes (gear " +
                                std::to_string(result.gear_label) + ")",

@@ -10,12 +10,6 @@ namespace {
 constexpr int kTagsPerCollective = 64;
 }  // namespace
 
-bool Request::done() const {
-  if (recv_) return recv_->complete;
-  if (send_) return send_->matched;
-  return false;
-}
-
 /// RAII guard emitting observer enter/exit around a traced call.
 struct Comm::Traced {
   Traced(Comm& comm, CallType type, Bytes bytes, Rank peer)
@@ -101,15 +95,14 @@ Request Comm::isend_impl(Rank dst, int tag, Bytes bytes) {
   // Envelopes carry communicator-local source ranks plus the context id,
   // so sub-communicator traffic can never match another communicator's
   // receives.
-  detail::Envelope env{rank_, tag, bytes, context_, nullptr};
+  detail::Envelope env{rank_, tag, bytes, context_, {}};
   Request req;
   if (bytes > world_.params().eager_threshold) {
-    req.send_ = std::make_shared<detail::SendState>();
-    env.send_state = req.send_;
+    req.op_ = world_.acquire_op();
+    env.send_state = req.op_;
   } else {
     // Eager: complete at the sender immediately (buffered semantics).
-    req.send_ = std::make_shared<detail::SendState>();
-    req.send_->matched = true;
+    req.sent_ = true;
   }
   // NB: the delivery event may fire after this Comm (a per-rank value
   // inside the rank's context) is gone — capture the World, which outlives
@@ -118,27 +111,23 @@ Request Comm::isend_impl(Rank dst, int tag, Bytes bytes) {
   sim::Engine& engine = world_.engine();
   if (dst_world == world_rank_) {
     // Self-message: no network involvement; deliver at the current time.
-    engine.schedule_at(
-        engine.now(),
-        [world, dst_world, env] { world->deliver(dst_world, env); });
+    engine.schedule_at(engine.now(), [world, dst_world, env]() mutable {
+      world->deliver(dst_world, std::move(env));
+    });
   } else {
     const Seconds arrival = world_.network().transfer(
         world_rank_, dst_world, bytes, engine.now());
-    engine.schedule_at(
-        arrival, [world, dst_world, env] { world->deliver(dst_world, env); });
+    engine.schedule_at(arrival, [world, dst_world, env]() mutable {
+      world->deliver(dst_world, std::move(env));
+    });
   }
   return req;
 }
 
 void Comm::send_impl(Rank dst, int tag, Bytes bytes) {
+  // A synchronous (rendezvous-class) send parks until the receiver matches.
   Request req = isend_impl(dst, tag, bytes);
-  if (!req.send_->matched) {
-    // Synchronous (rendezvous-class) send: park until the receiver matches.
-    req.send_->waiter = &proc();
-    proc().block();
-    req.send_->waiter = nullptr;
-    GEARSIM_ENSURE(req.send_->matched, "woken send was not matched");
-  }
+  wait_impl(req);
 }
 
 Request Comm::irecv_impl(Rank src, int tag) {
@@ -147,34 +136,25 @@ Request Comm::irecv_impl(Rank src, int tag) {
   GEARSIM_REQUIRE(tag == kAnyTag || tag <= kMaxUserTag, "invalid tag");
   overhead();
   Request req;
-  req.recv_ = std::make_shared<detail::RecvState>();
-  req.recv_->src_filter = src;
-  req.recv_->tag_filter = tag;
-  req.recv_->context = context_;
-  world_.post_recv(world_rank_, req.recv_);
+  req.op_ = world_.acquire_op();
+  req.op_->src_filter = src;
+  req.op_->tag_filter = tag;
+  req.op_->context = context_;
+  world_.post_recv(world_rank_, req.op_);
   return req;
 }
 
 Status Comm::wait_impl(Request& request) {
   GEARSIM_REQUIRE(request.valid(), "wait on an empty request");
-  if (request.recv_) {
-    auto& op = *request.recv_;
-    if (!op.complete) {
-      op.waiter = &proc();
-      proc().block();
-      op.waiter = nullptr;
-      GEARSIM_ENSURE(op.complete, "woken receive was not completed");
-    }
-    return op.status;
-  }
-  auto& op = *request.send_;
-  if (!op.matched) {
+  if (request.sent_) return Status{};
+  detail::OpState& op = *request.op_;
+  if (!op.complete) {
     op.waiter = &proc();
     proc().block();
     op.waiter = nullptr;
-    GEARSIM_ENSURE(op.matched, "woken send was not matched");
+    GEARSIM_ENSURE(op.complete, "woken request was not completed");
   }
-  return Status{};
+  return op.status;  // Default for a send: only receives fill it.
 }
 
 Status Comm::recv_impl(Rank src, int tag) {

@@ -8,7 +8,6 @@
 // allreduce, pairwise alltoall, ring allgather.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -16,18 +15,21 @@
 
 namespace gearsim::mpi {
 
-/// Handle for a nonblocking operation; value type, copyable (shared
-/// state).  Obtain from isend/irecv; complete with wait/waitall.
+/// Handle for a nonblocking operation; value type, copyable (copies share
+/// the operation).  Obtain from isend/irecv; complete with wait/waitall.
+/// An eager send is complete when isend returns and carries no state; a
+/// receive or a rendezvous send holds a counted reference to a slot of
+/// its World's pool, so no handle may outlive the World.
 class Request {
  public:
   Request() = default;
-  [[nodiscard]] bool valid() const { return recv_ != nullptr || send_ != nullptr; }
-  [[nodiscard]] bool done() const;
+  [[nodiscard]] bool valid() const { return sent_ || static_cast<bool>(op_); }
+  [[nodiscard]] bool done() const { return sent_ || (op_ && op_->complete); }
 
  private:
   friend class Comm;
-  std::shared_ptr<detail::RecvState> recv_;
-  std::shared_ptr<detail::SendState> send_;
+  detail::OpRef op_;
+  bool sent_ = false;  ///< An eager send, complete at the sender.
 };
 
 class Comm {

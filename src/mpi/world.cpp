@@ -127,29 +127,28 @@ void World::notify_exit(Rank rank, CallType t) {
   for (auto* obs : observers_) obs->on_exit(rank, t, now);
 }
 
-void World::complete_recv(detail::RecvState& op, const detail::Envelope& env,
+void World::complete_recv(detail::OpState& op, const detail::Envelope& env,
                           sim::EventBatch& wakes) {
   op.complete = true;
   op.status = Status{env.src, env.tag, env.bytes};
-  if (env.send_state && !env.send_state->matched) {
-    env.send_state->matched = true;
-    if (env.send_state->waiter != nullptr) env.send_state->waiter->wake(wakes);
+  detail::OpState* sender = env.send_state.get();
+  if (sender != nullptr && !sender->complete) {
+    sender->complete = true;
+    if (sender->waiter != nullptr) sender->waiter->wake(wakes);
   }
 }
 
-void World::deliver(Rank dst, detail::Envelope env) {
+void World::deliver(Rank dst, detail::Envelope&& env) {
   GEARSIM_REQUIRE(dst >= 0 && dst < size(), "deliver to invalid rank");
   auto& posted = posted_[dst];
   const auto it = std::find_if(
       posted.begin(), posted.end(),
-      [&env](const std::shared_ptr<detail::RecvState>& op) {
-        return op->matches(env);
-      });
+      [&env](const detail::OpRef& op) { return detail::matches(*op, env); });
   if (it == posted.end()) {
     unexpected_[dst].push_back(std::move(env));
     return;
   }
-  const std::shared_ptr<detail::RecvState> op = *it;
+  const detail::OpRef op = std::move(*it);
   posted.erase(it);
   // Batch the wake chain: a rendezvous sender's wake (from complete_recv)
   // and the receiver's wake go to the queue in one operation, sender
@@ -159,11 +158,11 @@ void World::deliver(Rank dst, detail::Envelope env) {
   if (!wake_batch_.empty()) engine_.schedule_batch(wake_batch_);
 }
 
-void World::post_recv(Rank dst, const std::shared_ptr<detail::RecvState>& op) {
+void World::post_recv(Rank dst, detail::OpRef op) {
   auto& queue = unexpected_[dst];
   const auto it = std::find_if(queue.begin(), queue.end(),
                                [&op](const detail::Envelope& env) {
-                                 return op->matches(env);
+                                 return detail::matches(*op, env);
                                });
   if (it != queue.end()) {
     complete_recv(*op, *it, wake_batch_);
@@ -171,7 +170,7 @@ void World::post_recv(Rank dst, const std::shared_ptr<detail::RecvState>& op) {
     if (!wake_batch_.empty()) engine_.schedule_batch(wake_batch_);
     return;
   }
-  posted_[dst].push_back(op);
+  posted_[dst].push_back(std::move(op));
 }
 
 }  // namespace gearsim::mpi

@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/network.hpp"
@@ -22,10 +22,84 @@ namespace gearsim::mpi {
 
 namespace detail {
 
-struct SendState {
-  bool matched = false;           ///< Receiver matched the message.
-  sim::Process* waiter = nullptr; ///< Sender blocked awaiting the match.
+class OpPool;
+
+/// Completion state of a pending receive or rendezvous send, shared by
+/// its Request handles, the World's posted-receive list and the message
+/// envelope in flight.  Slots come from the World's OpPool and return to
+/// it when the last OpRef drops.  Reference counts are plain integers:
+/// one World runs on one engine thread.
+struct OpState {
+  // Receive filters (unused by a send).
+  Rank src_filter = kAnySource;
+  int tag_filter = kAnyTag;
+  int context = 0;
+  /// A receive matched a message, or the receiver matched a send.
+  bool complete = false;
+  Status status{};                ///< Receives only.
+  sim::Process* waiter = nullptr; ///< Rank blocked awaiting completion.
+  std::uint32_t refs = 0;
+  OpPool* pool = nullptr;
+  OpState* next_free = nullptr;
 };
+
+/// Counted handle to a pooled OpState.
+class OpRef {
+ public:
+  OpRef() = default;
+  explicit OpRef(OpState* state) : state_(state) {
+    if (state_ != nullptr) ++state_->refs;
+  }
+  OpRef(const OpRef& other) : OpRef(other.state_) {}
+  OpRef(OpRef&& other) noexcept : state_(std::exchange(other.state_, nullptr)) {}
+  OpRef& operator=(OpRef other) noexcept {
+    std::swap(state_, other.state_);
+    return *this;
+  }
+  ~OpRef();
+
+  [[nodiscard]] explicit operator bool() const { return state_ != nullptr; }
+  [[nodiscard]] OpState* get() const { return state_; }
+  [[nodiscard]] OpState* operator->() const { return state_; }
+  [[nodiscard]] OpState& operator*() const { return *state_; }
+
+ private:
+  OpState* state_ = nullptr;
+};
+
+/// Free list of OpState slots.  Slots live in a deque, so their addresses
+/// are stable and a run that has reached its peak number of pending
+/// operations allocates no more.
+class OpPool {
+ public:
+  OpPool() = default;
+  OpPool(const OpPool&) = delete;
+  OpPool& operator=(const OpPool&) = delete;
+
+  [[nodiscard]] OpRef acquire() {
+    OpState* state = free_;
+    if (state != nullptr) {
+      free_ = state->next_free;
+      *state = OpState{};
+    } else {
+      state = &slots_.emplace_back();
+    }
+    state->pool = this;
+    return OpRef(state);
+  }
+  void release(OpState* state) {
+    state->next_free = free_;
+    free_ = state;
+  }
+
+ private:
+  std::deque<OpState> slots_;
+  OpState* free_ = nullptr;
+};
+
+inline OpRef::~OpRef() {
+  if (state_ != nullptr && --state_->refs == 0) state_->pool->release(state_);
+}
 
 struct Envelope {
   Rank src = 0;  ///< Communicator-local source rank.
@@ -36,30 +110,25 @@ struct Envelope {
   int context = 0;
   /// Set for synchronous (rendezvous-class) sends: completing the match
   /// unblocks the sender.
-  std::shared_ptr<SendState> send_state;
+  OpRef send_state;
 };
 
-struct RecvState {
-  Rank src_filter = kAnySource;
-  int tag_filter = kAnyTag;
-  int context = 0;
-  bool complete = false;
-  Status status{};
-  sim::Process* waiter = nullptr;
-
-  [[nodiscard]] bool matches(const Envelope& env) const {
-    return !complete && env.context == context &&
-           (src_filter == kAnySource || src_filter == env.src) &&
-           (tag_filter == kAnyTag || tag_filter == env.tag);
-  }
-};
+/// True when the pending receive `op` accepts `env`.
+[[nodiscard]] inline bool matches(const OpState& op, const Envelope& env) {
+  return !op.complete && env.context == op.context &&
+         (op.src_filter == kAnySource || op.src_filter == env.src) &&
+         (op.tag_filter == kAnyTag || op.tag_filter == env.tag);
+}
 
 }  // namespace detail
 
 class Comm;
 
 /// One MPI job.  Construct, bind each rank to its simulation process, then
-/// create one Comm per rank.  Lifetime must cover all Comms.
+/// create one Comm per rank.  Lifetime must cover all Comms and Requests:
+/// if a run ends with ranks still suspended in MPI calls (a deadlock, or a
+/// rank body that threw), call Engine::terminate_processes() before the
+/// World goes away, so their unwinding frames find it alive.
 class World {
  public:
   World(sim::Engine& engine, net::Network& network, int size,
@@ -119,21 +188,29 @@ class World {
   void notify_enter(Rank rank, CallType t, Bytes bytes, Rank peer);
   void notify_exit(Rank rank, CallType t);
 
+  /// A fresh pending-operation state from this World's pool.
+  [[nodiscard]] detail::OpRef acquire_op() { return ops_.acquire(); }
   /// Message arrival at `dst` (runs in engine context at arrival time).
-  void deliver(Rank dst, detail::Envelope env);
-  /// Post a receive; matches the unexpected queue first.
-  void post_recv(Rank dst, const std::shared_ptr<detail::RecvState>& op);
+  void deliver(Rank dst, detail::Envelope&& env);
+  /// Post a receive; matches the unexpected queue first.  A receive left
+  /// posted keeps its state alive, so a dropped irecv still consumes its
+  /// message.
+  void post_recv(Rank dst, detail::OpRef op);
   /// Complete `op` against `env`; a rendezvous sender's wake is appended
   /// to `wakes` (submitted by the caller in one batch, sender first).
-  static void complete_recv(detail::RecvState& op, const detail::Envelope& env,
+  static void complete_recv(detail::OpState& op, const detail::Envelope& env,
                             sim::EventBatch& wakes);
 
   sim::Engine& engine_;
   net::Network& network_;
   MpiParams params_;
+  /// Declared before the queues that hold references into it.
+  detail::OpPool ops_;
   std::vector<sim::Process*> procs_;
-  std::vector<std::deque<detail::Envelope>> unexpected_;
-  std::vector<std::vector<std::shared_ptr<detail::RecvState>>> posted_;
+  /// Per-rank matching queues.  Vectors, not deques: erasing keeps the
+  /// capacity, so steady-state matching never touches the allocator.
+  std::vector<std::vector<detail::Envelope>> unexpected_;
+  std::vector<std::vector<detail::OpRef>> posted_;
   std::vector<CallObserver*> observers_;
   std::uint64_t traced_calls_ = 0;
   int last_context_ = 0;

@@ -1,4 +1,4 @@
-// Post-processing of MPI traces into the paper's time decompositions.
+// The paper's time decompositions of a run's MPI calls.
 //
 // Step 1 of the methodology: split each rank's run into active time T^A
 // (outside MPI) and idle time T^I (inside blocking MPI calls, which
@@ -28,6 +28,8 @@ struct RankBreakdown {
   Seconds critical{};   ///< T^C: active work on the communication path.
   Seconds reducible{};  ///< T^R: active work with downstream slack.
   std::size_t mpi_calls = 0;
+
+  friend bool operator==(const RankBreakdown&, const RankBreakdown&) = default;
 };
 
 /// Whole-run decomposition in the paper's terms.
@@ -40,6 +42,34 @@ struct ClusterBreakdown {
   Seconds critical{};     ///< T^C of the max-active rank.
   Seconds reducible{};    ///< T^R of the max-active rank.
   std::vector<RankBreakdown> ranks;
+
+  friend bool operator==(const ClusterBreakdown&,
+                         const ClusterBreakdown&) = default;
+};
+
+/// One rank's decomposition, folded one call at a time.
+class RankFold {
+ public:
+  explicit RankFold(Seconds run_start = Seconds{})
+      : run_start_(run_start), prev_exit_(run_start) {}
+
+  /// Fold one call that ran over [enter, exit].  Calls arrive in the
+  /// rank's program order.
+  void add(mpi::CallType type, Seconds enter, Seconds exit);
+
+  /// The decomposition over [run_start, run_end].
+  [[nodiscard]] RankBreakdown finish(Seconds run_end) const;
+
+ private:
+  Seconds run_start_;
+  Seconds idle_{};
+  Seconds reducible_{};
+  // Reducible-work scan state: are we past a send with no intervening
+  // blocking point, and how much computation accumulated since that send?
+  bool send_open_ = false;
+  Seconds since_send_{};
+  Seconds prev_exit_;
+  std::size_t calls_ = 0;
 };
 
 /// Decompose one rank's records over [run_start, run_end].
@@ -49,5 +79,32 @@ RankBreakdown analyze_rank(std::span<const TraceRecord> records,
 /// Decompose a full run from its tracer.
 ClusterBreakdown analyze_cluster(const Tracer& tracer, Seconds run_start,
                                  Seconds run_end);
+
+/// The online feeder: a CallObserver that folds each call into its rank's
+/// RankFold as the call exits, keeping one open call per rank and no
+/// records.  Runs start at t = 0.  breakdown() equals analyze_cluster over
+/// a Tracer attached to the same World.
+class BreakdownObserver final : public mpi::CallObserver {
+ public:
+  explicit BreakdownObserver(std::size_t num_ranks);
+
+  void on_enter(mpi::Rank rank, mpi::CallType type, Seconds now, Bytes bytes,
+                mpi::Rank peer) override;
+  void on_exit(mpi::Rank rank, mpi::CallType type, Seconds now) override;
+
+  /// The run's decomposition over [0, run_end].  A call still open counts
+  /// as one that exited at its entry, as its Tracer record would.
+  [[nodiscard]] ClusterBreakdown breakdown(Seconds run_end) const;
+
+ private:
+  struct OpenCall {
+    bool open = false;
+    mpi::CallType type{};
+    Seconds enter{};
+  };
+
+  std::vector<RankFold> folds_;
+  std::vector<OpenCall> open_;
+};
 
 }  // namespace gearsim::trace

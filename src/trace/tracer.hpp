@@ -4,8 +4,10 @@
 // timestamp to a log file. ... To reduce perturbation, each trace record
 // is written to a local buffer."  The Tracer is a mpi::CallObserver that
 // appends (rank, call, enter, exit, bytes, peer) records to per-rank
-// vectors; analysis.hpp turns a finished trace into the T^A / T^I and
-// T^C / T^R decompositions of Sections 3-4.
+// vectors: the record store behind the CSV and timeline exports.  A run's
+// T^A / T^I and T^C / T^R decompositions (Sections 3-4) fold online in
+// trace::BreakdownObserver with no stored records; analysis.hpp replays a
+// stored trace through the same fold.
 #pragma once
 
 #include <cstddef>

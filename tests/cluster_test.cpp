@@ -1,8 +1,11 @@
 // Tests for the cluster harness: presets, the experiment runner's
-// accounting identities, determinism, and gear-sweep structure.
+// accounting identities, determinism, gear-sweep structure, the online
+// breakdown against the stored trace, and teardown of failed runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -10,6 +13,7 @@
 #include "cluster/experiment.hpp"
 #include "exec/result_io.hpp"
 #include "model/gear_data.hpp"
+#include "mpi/comm.hpp"
 #include "util/hash.hpp"
 #include "workloads/jacobi.hpp"
 #include "workloads/registry.hpp"
@@ -342,6 +346,93 @@ TEST(Runner, SpeedupRejectsDegenerateDenominator) {
   RunResult empty;  // Default-constructed: wall == 0.
   EXPECT_THROW((void)speedup(good, empty), ContractError);
   EXPECT_NO_THROW((void)speedup(empty, good));  // 0/positive is just 0.
+}
+
+// --- online breakdown vs the stored trace -----------------------------------
+
+TEST(Runner, TraceExportLeavesResultBytesUnchanged) {
+  // The breakdown folds online; a Tracer is attached only to export.  A
+  // run with both exports must report the same bytes as one without, and
+  // the runner checks the online breakdown against analyze_cluster over
+  // the stored records whenever they exist (a mismatch throws).  Every
+  // registry workload at 16 ranks, with eager messages, with rendezvous
+  // messages (eager threshold lowered) and under a policy that shifts
+  // gears inside blocking calls.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "gearsim_cluster_test_export";
+  std::filesystem::create_directories(dir);
+  ClusterConfig eager = athlon_cluster();
+  eager.max_nodes = 16;
+  ClusterConfig rendezvous = eager;
+  rendezvous.mpi.eager_threshold = kilobytes(1);
+  CommDownshift downshift(0, 5);
+  struct Variant {
+    const char* name;
+    const ClusterConfig* config;
+    GearPolicy* policy;
+  };
+  for (const Variant& v : {Variant{"eager", &eager, nullptr},
+                           Variant{"rendezvous", &rendezvous, nullptr},
+                           Variant{"downshift", &eager, &downshift}}) {
+    const ExperimentRunner runner(*v.config);
+    for (const auto& entry : workloads::all_workloads()) {
+      const auto workload = entry.make();
+      if (!workload->supports(16)) continue;
+      RunOptions plain;
+      plain.policy = v.policy;
+      RunOptions exported = plain;
+      exported.trace_csv_path = (dir / "trace.csv").string();
+      exported.timeline_svg_path = (dir / "timeline.svg").string();
+      const RunResult a = runner.run(*workload, 16, plain);
+      const RunResult b = runner.run(*workload, 16, exported);
+      EXPECT_EQ(exec::to_json(a), exec::to_json(b))
+          << entry.name << " " << v.name;
+      EXPECT_TRUE(std::filesystem::exists(dir / "trace.csv"));
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// --- failed runs unwind their ranks before the run's locals die -------------
+
+/// Rank 0 passes a barrier and throws; rank 1 is left waiting in
+/// recv(0, 1) with a pending request.
+class ThrowsAfterBarrier final : public Workload {
+ public:
+  [[nodiscard]] std::string name() const override {
+    return "throws-after-barrier";
+  }
+  void run(RankContext& ctx) const override {
+    ctx.comm().barrier();
+    if (ctx.comm().rank() == 0) throw std::runtime_error("rank 0 failed");
+    ctx.comm().recv(0, 1);
+  }
+};
+
+/// Both ranks receive first: a deadlock the engine detects.
+class MutualRecv final : public Workload {
+ public:
+  [[nodiscard]] std::string name() const override { return "mutual-recv"; }
+  void run(RankContext& ctx) const override {
+    ctx.comm().recv(1 - ctx.comm().rank(), 0);
+  }
+};
+
+TEST(Runner, RankExceptionPropagatesAfterUnwindingTheOtherRanks) {
+  // Rank 1's frames (its MPI call guard and pending request) unwind while
+  // the run's World and observers are still alive; the sanitizer build
+  // turns a late unwind into a heap-use-after-free.
+  const ExperimentRunner runner(athlon_cluster());
+  EXPECT_THROW((void)runner.run(ThrowsAfterBarrier(), 2, 0),
+               std::runtime_error);
+  // The runner is reusable after the failure.
+  EXPECT_GT(runner.run(workloads::Jacobi(), 2, 0).wall.value(), 0.0);
+}
+
+TEST(Runner, DeadlockPropagatesAfterUnwindingTheBlockedRanks) {
+  const ExperimentRunner runner(athlon_cluster());
+  EXPECT_THROW((void)runner.run(MutualRecv(), 2, 0), SimulationError);
+  EXPECT_GT(runner.run(workloads::Jacobi(), 2, 0).wall.value(), 0.0);
 }
 
 }  // namespace

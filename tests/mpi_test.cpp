@@ -20,6 +20,11 @@ class MpiHarness {
                       net::NetworkParams net_params = net::ethernet_100mbps())
       : network_(net_params, static_cast<std::size_t>(n)),
         world_(engine_, network_, n, params) {}
+  // A failed run leaves ranks suspended in MPI calls; unwind them while
+  // the World their guards and requests reference is still alive.
+  ~MpiHarness() { engine_.terminate_processes(); }
+  MpiHarness(const MpiHarness&) = delete;
+  MpiHarness& operator=(const MpiHarness&) = delete;
 
   World& world() { return world_; }
   sim::Engine& engine() { return engine_; }
@@ -253,6 +258,50 @@ TEST(MpiNonblocking, WaitallDrainsMixedRequests) {
     }
   });
   EXPECT_EQ(received, 3);
+}
+
+TEST(MpiNonblocking, DroppedIrecvStillConsumesItsMessage) {
+  // An irecv posted before its message and dropped unwaited stays posted:
+  // it takes the first message, so the blocking recv gets the second.
+  // Same when the message is already waiting in the unexpected queue.
+  MpiHarness h(2);
+  std::vector<Status> seen(2);
+  h.run([&](Comm& comm, sim::Process& p) {
+    if (comm.rank() == 0) {
+      p.delay(seconds(1.0));
+      comm.send(1, 5, 100);
+      comm.send(1, 5, 200);
+      comm.send(1, 6, 300);
+      comm.send(1, 6, 400);
+    } else {
+      (void)comm.irecv(0, 5);  // Posted: matches on arrival.
+      seen[0] = comm.recv(0, 5);
+      p.delay(seconds(1.0));   // Both tag-6 messages are unexpected now.
+      (void)comm.irecv(0, 6);  // Matches the first at once.
+      seen[1] = comm.recv(0, 6);
+    }
+  });
+  EXPECT_EQ(seen[0].bytes, Bytes{200});
+  EXPECT_EQ(seen[1].bytes, Bytes{400});
+}
+
+TEST(MpiNonblocking, RequestCopiesShareCompletion) {
+  MpiParams params;
+  params.eager_threshold = 10;  // The send below is rendezvous.
+  MpiHarness h(2, params);
+  std::vector<bool> copy_done(2, false);
+  h.run([&](Comm& comm, sim::Process& p) {
+    const Rank peer = 1 - comm.rank();
+    Request req = comm.rank() == 0 ? comm.isend(peer, 0, 1000)
+                                   : comm.irecv(peer, 0);
+    const Request copy = req;
+    EXPECT_FALSE(copy.done());
+    if (comm.rank() == 1) p.delay(seconds(1.0));
+    comm.wait(req);
+    copy_done[comm.rank()] = copy.done();
+  });
+  EXPECT_TRUE(copy_done[0]);
+  EXPECT_TRUE(copy_done[1]);
 }
 
 TEST(MpiNonblocking, WaitOnEmptyRequestThrows) {

@@ -1,6 +1,11 @@
-// Tests for the tracing substrate: record collection and the paper's
-// active/idle and critical/reducible decompositions.
+// Tests for the tracing substrate: record collection, the paper's
+// active/idle and critical/reducible decompositions, and the online fold
+// (BreakdownObserver) against the stored-trace analysis.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <vector>
 
 #include "mpi/comm.hpp"
 #include "net/network.hpp"
@@ -238,6 +243,87 @@ TEST(Analysis, EndToEndDecompositionOfASimulatedRun) {
   EXPECT_NEAR(c.ranks[0].reducible.value(), 1.0, 1e-3);
   EXPECT_GT(c.ranks[1].idle.value(), 2.0);  // Waited for rank 0's send.
   EXPECT_DOUBLE_EQ(c.active_max.value(), c.ranks[0].active.value());
+}
+
+// --- the online fold -------------------------------------------------------------
+
+TEST(BreakdownObserver, MatchesAnalyzeClusterOnASimulatedRun) {
+  // Tracer and fold watch the same World; the online breakdown must equal
+  // the stored-trace one exactly.  Rendezvous sends (eager threshold
+  // lowered), nonblocking calls, collectives and uneven compute.
+  constexpr int kRanks = 4;
+  sim::Engine engine;
+  net::Network network(net::ethernet_100mbps(), kRanks);
+  mpi::MpiParams params;
+  params.eager_threshold = kilobytes(8);
+  mpi::World world(engine, network, kRanks, params);
+  Tracer tracer(kRanks);
+  BreakdownObserver fold(kRanks);
+  world.add_observer(&fold);
+  world.add_observer(&tracer);
+  std::vector<Seconds> finish(kRanks);
+  for (int r = 0; r < kRanks; ++r) {
+    sim::Process& proc =
+        engine.spawn("rank" + std::to_string(r), [&, r](sim::Process& p) {
+          mpi::Comm comm(world, r);
+          const mpi::Rank right = (r + 1) % kRanks;
+          const mpi::Rank left = (r + kRanks - 1) % kRanks;
+          for (int i = 0; i < 6; ++i) {
+            p.delay(seconds(0.01 * ((r * 7 + i * 3) % 5)));
+            const Bytes size = i % 2 == 0 ? kilobytes(64) : kilobytes(1);
+            mpi::Request reqs[2] = {comm.irecv(left, i),
+                                    comm.isend(right, i, size)};
+            p.delay(seconds(0.002 * r));
+            comm.waitall(reqs);
+            if (r % 2 == 0) {
+              comm.send(right, 100 + i, size);
+            } else {
+              comm.recv(left, 100 + i);
+            }
+            if (i % 3 == 2) comm.allreduce(kilobytes(16));
+          }
+          comm.barrier();
+          finish[r] = p.now();
+        });
+    world.bind_rank(r, proc);
+  }
+  engine.run();
+  const Seconds wall = *std::max_element(finish.begin(), finish.end());
+  const ClusterBreakdown stored = analyze_cluster(tracer, Seconds{}, wall);
+  EXPECT_EQ(fold.breakdown(wall), stored);
+  EXPECT_GT(stored.reducible.value(), 0.0);
+  EXPECT_EQ(stored.ranks[0].mpi_calls, tracer.records(0).size());
+}
+
+TEST(BreakdownObserver, OpenCallCountsAsItsTracerRecordDoes) {
+  Tracer tracer(1);
+  BreakdownObserver fold(1);
+  for (mpi::CallObserver* obs : {static_cast<mpi::CallObserver*>(&tracer),
+                                 static_cast<mpi::CallObserver*>(&fold)}) {
+    obs->on_enter(0, mpi::CallType::kSend, seconds(1.0), 8, 0);
+    obs->on_exit(0, mpi::CallType::kSend, seconds(1.5));
+    obs->on_enter(0, mpi::CallType::kRecv, seconds(3.0), 0, 0);
+  }
+  const ClusterBreakdown stored =
+      analyze_cluster(tracer, Seconds{}, seconds(4.0));
+  EXPECT_EQ(fold.breakdown(seconds(4.0)), stored);
+  EXPECT_EQ(stored.ranks[0].mpi_calls, 2u);
+  EXPECT_NEAR(stored.reducible.value(), 1.5, 1e-12);
+}
+
+TEST(BreakdownObserver, RejectsNestedAndUnbalancedCalls) {
+  BreakdownObserver fold(1);
+  EXPECT_THROW(fold.on_exit(0, mpi::CallType::kSend, seconds(0.1)),
+               ContractError);
+  fold.on_enter(0, mpi::CallType::kSend, seconds(0), 0, 0);
+  EXPECT_THROW(fold.on_enter(0, mpi::CallType::kRecv, seconds(0.1), 0, 0),
+               ContractError);
+  EXPECT_THROW(fold.on_exit(0, mpi::CallType::kRecv, seconds(0.2)),
+               ContractError);
+  fold.on_exit(0, mpi::CallType::kSend, seconds(0.2));
+  EXPECT_THROW(fold.on_enter(3, mpi::CallType::kSend, seconds(0.3), 0, 0),
+               ContractError);
+  EXPECT_THROW(BreakdownObserver(0), ContractError);
 }
 
 }  // namespace

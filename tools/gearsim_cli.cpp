@@ -428,7 +428,8 @@ int cmd_sweep(const Args& args) {
   std::vector<std::optional<cluster::RunResult>> runs;
   exec::SweepOutcome outcome;
   if (keep_going) {
-    options.max_attempts = args.get_int("retries", 3);
+    // --retries K: K attempts after the first, as `gearsim serve` reads it.
+    options.max_attempts = 1 + args.get_int("retries", 2);
     options.watchdog_seconds = std::stod(args.get("watchdog", "0"));
     outcome = exec::SweepRunner(config, options).run_isolated(points);
     runs = std::move(outcome.results);
