@@ -1,6 +1,7 @@
 #include "cluster/experiment.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <memory>
 #include <optional>
 
@@ -16,7 +17,6 @@
 #include "trace/tracer.hpp"
 #include "util/assert.hpp"
 #include "util/failpoint.hpp"
-#include "util/parallel.hpp"
 
 namespace gearsim::cluster {
 
@@ -49,6 +49,12 @@ class DvfsDriver final : public mpi::CallObserver {
 
   void on_exit(mpi::Rank rank, mpi::CallType type, Seconds now) override {
     if (!mpi::is_blocking_point(type)) return;
+    // A rank unwinding out of the call (terminated after a crash or a
+    // deadlock, or throwing itself) is not simulating: a gear switch
+    // would delay() inside a destructor, which std::terminate()s.  The
+    // breakdown fold and the tracer, registered before us, have already
+    // closed the call.
+    if (std::uncaught_exceptions() > 0) return;
     if (RankContext* ctx = contexts_[rank]) {
       // Measured wait: everything between enter and exit, including the
       // downshift transition — exactly what a DVFS-aware MPI would see.
@@ -440,40 +446,13 @@ RunResult ExperimentRunner::run(const Workload& workload, int nodes,
 }
 
 std::vector<RunResult> ExperimentRunner::gear_sweep(const Workload& workload,
-                                                    int nodes,
-                                                    int jobs) const {
-  // Each gear point is a pure function of (config_, workload, nodes, g):
-  // run() builds its own engine, meter and RNG streams from those alone,
-  // so the points fan out over the pool with bit-identical results for
-  // any job count.
-  std::vector<RunResult> results(config_.gears.size());
-  parallel_for_ordered(jobs, config_.gears.size(), [&](std::size_t g) {
-    results[g] = run(workload, nodes, g);
-  });
-  return results;
-}
-
-ExperimentRunner::RepeatedResult ExperimentRunner::run_repeated(
-    const Workload& workload, int nodes, std::size_t gear_index,
-    int repetitions, int jobs) const {
-  GEARSIM_REQUIRE(repetitions >= 1, "need at least one repetition");
-  RepeatedResult result;
-  result.runs.resize(static_cast<std::size_t>(repetitions));
-  parallel_for_ordered(
-      jobs, static_cast<std::size_t>(repetitions), [&](std::size_t rep) {
-        ClusterConfig config = config_;
-        config.seed = config_.seed + rep;
-        config.network.jitter_seed = config_.network.jitter_seed + rep;
-        const ExperimentRunner sub(config);
-        result.runs[rep] = sub.run(workload, nodes, gear_index);
-      });
-  // Welford accumulation is order-sensitive in the last bits; fold the
-  // ordered results serially so the statistics match the serial loop.
-  for (const RunResult& run : result.runs) {
-    result.time_s.add(run.wall.value());
-    result.energy_j.add(run.energy.value());
+                                                    int nodes) const {
+  std::vector<RunResult> results;
+  results.reserve(config_.gears.size());
+  for (std::size_t g = 0; g < config_.gears.size(); ++g) {
+    results.push_back(run(workload, nodes, g));
   }
-  return result;
+  return results;
 }
 
 double speedup(const RunResult& a, const RunResult& b) {

@@ -1,16 +1,20 @@
 #include "exec/sweep_runner.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <system_error>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
 #include "util/failpoint.hpp"
-#include "util/parallel.hpp"
 
 namespace gearsim::exec {
 
@@ -31,6 +35,40 @@ std::string describe_point(const SweepPoint& p) {
   return os.str();
 }
 
+/// Run body(0) .. body(n-1): the sweep's only thread fan-out.  Inline on
+/// the calling thread, in index order, when `jobs <= 1` or `n <= 1`;
+/// otherwise min(jobs, n) threads claim indices from an atomic counter,
+/// so completion order is arbitrary and callers index their output by
+/// `i`.  The body cannot throw, so every index runs exactly once whatever
+/// its neighbours do, and every thread is joined before this returns,
+/// also when the system refuses to start one.
+template <typename Body>
+void fan_out(int jobs, std::size_t n, const Body& body) {
+  static_assert(std::is_nothrow_invocable_v<const Body&, std::size_t>,
+                "the fan-out body must catch everything it throws");
+  if (jobs <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) body(i);
+    return;
+  }
+  std::atomic<std::size_t> next{0};
+  const auto worker = [&] {
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed); i < n;
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      body(i);
+    }
+  };
+  const std::size_t workers =
+      std::min<std::size_t>(static_cast<std::size_t>(jobs), n);
+  std::vector<std::thread> pool;
+  pool.reserve(workers);
+  try {
+    for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(worker);
+  } catch (const std::system_error&) {
+    worker();  // No more threads to be had: drain the rest here.
+  }
+  for (std::thread& t : pool) t.join();
+}
+
 /// Mutable per-point scratch; index-aligned with the submitted points,
 /// so workers write disjoint slots and the calling thread folds in
 /// request order after the pool drains.
@@ -46,6 +84,27 @@ struct JobState {
 };
 
 }  // namespace
+
+int default_jobs() {
+  const char* env = std::getenv("GEARSIM_SWEEP_JOBS");
+  if (env == nullptr || *env == '\0') return 1;
+  char* end = nullptr;
+  const long parsed = std::strtol(env, &end, 10);
+  if (end == env || *end != '\0' || parsed < 1 ||
+      parsed > std::numeric_limits<int>::max()) {
+    return 1;
+  }
+  return static_cast<int>(parsed);
+}
+
+int resolve_jobs(int jobs) {
+  if (jobs == 0) return default_jobs();
+  if (jobs < 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
+  }
+  return jobs;
+}
 
 const char* to_string(FailureKind kind) {
   return kind == FailureKind::kTransient ? "transient" : "permanent";
@@ -124,8 +183,8 @@ cluster::RunResult SweepRunner::simulate_point(
   if (p.rep == 0) {
     return config_.run(*p.workload, p.nodes, run_options);
   }
-  // Repetition r is the same point under shifted seeds — identical
-  // to ExperimentRunner::run_repeated's convention.
+  // Repetition r is the same point under shifted seeds, (seed + r,
+  // jitter_seed + r): the one place the repetition rule lives.
   cluster::ClusterConfig shifted = base;
   shifted.seed = base.seed + static_cast<std::uint64_t>(p.rep);
   shifted.network.jitter_seed =
@@ -258,17 +317,15 @@ SweepOutcome SweepRunner::execute(const std::vector<SweepPoint>& points,
     }
   };
 
-  // Step 3, worker pool: every pending point under exception isolation.
-  // Nothing escapes the lambda, so parallel_for_ordered never stops
-  // early and every point gets its turn regardless of its neighbours'
-  // fate.  That must hold unconditionally: an escaped exception would
-  // trip parallel_for_ordered's fail-fast stop, skip unclaimed points,
-  // and lose the step-4 bookkeeping (watchdog flag, JobFailure record)
-  // of the rest.  run_attempts' inner try does not cover everything —
-  // the error-string copy in its handler may throw too — so the outer
-  // catch turns any escape into a recorded permanent failure.
+  // Step 3, fan-out: every pending point under exception isolation.
+  // Nothing escapes the body, so every point gets its turn regardless of
+  // its neighbours' fate and keeps its step-4 bookkeeping (watchdog flag,
+  // JobFailure record).  run_attempts' inner try does not cover
+  // everything — the error-string copy in its handler may throw too — so
+  // the outer catch turns any escape into a recorded permanent failure.
+  const int workers = resolve_jobs(options_.jobs);
   const auto sweep_start = SteadyClock::now();
-  parallel_for_ordered(options_.jobs, pending.size(), [&](std::size_t m) {
+  fan_out(workers, pending.size(), [&](std::size_t m) noexcept {
     const std::size_t i = pending[m];
     JobState& job = jobs[i];
     try {
@@ -353,7 +410,6 @@ SweepOutcome SweepRunner::execute(const std::vector<SweepPoint>& points,
         h.observe(jobs[i].wall_seconds);
         busy += jobs[i].wall_seconds;
       }
-      const int workers = resolve_jobs(options_.jobs);
       reg->wall_gauge("exec.sweep.jobs", obs::Gauge::Kind::kLast)
           ->set(static_cast<double>(workers));
       if (sweep_seconds > 0.0 && !pending.empty()) {

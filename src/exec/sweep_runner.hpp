@@ -1,14 +1,15 @@
 // The sweep executor.
 //
 // A sweep is a list of independent (workload, nodes, gear, rep) points
-// over one ClusterConfig.  SweepRunner fans them out over a fixed pool
-// of worker threads (util/parallel.hpp) — each in-flight point owns its
-// whole simulation (engine, meters, world), so workers never share
-// mutable state — and returns results in request order.  Because every
-// point's RNG streams derive from the (config, point) tuple and never
-// from a shared generator, the output is bit-identical to a serial loop
-// regardless of job count or scheduling (regression-tested in
-// tests/exec_test.cpp).
+// over one ClusterConfig.  SweepRunner fans them out over up to
+// SweepOptions::jobs threads — each in-flight point owns its whole
+// simulation (engine, meters, world), so workers never share mutable
+// state — and returns results in request order.  It is the library's
+// only sweep fan-out; ExperimentRunner::gear_sweep is a serial loop.
+// Because every point's RNG streams derive from the (config, point)
+// tuple and never from a shared generator, the output is bit-identical
+// to a serial loop regardless of job count or scheduling
+// (regression-tested in tests/exec_test.cpp).
 //
 // An optional ResultCache short-circuits points that were already
 // simulated — by this process or, with a disk store, by any earlier
@@ -49,7 +50,8 @@ struct SweepPoint {
   int nodes = 1;
   std::size_t gear_index = 0;
   /// Repetition index: the point runs with (config.seed + rep,
-  /// jitter_seed + rep), matching ExperimentRunner::run_repeated.
+  /// jitter_seed + rep), the simulation analogue of the paper's repeated
+  /// wall-outlet measurements.
   int rep = 0;
   /// Optional DVFS policy; overrides gear_index when set (must outlive
   /// the sweep).  A *factory* rather than a policy instance because
@@ -71,6 +73,16 @@ class TransientError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
 };
+
+/// Default worker count for a sweep: the GEARSIM_SWEEP_JOBS environment
+/// variable when it holds a positive integer that fits an int, else 1
+/// (serial).  Serial by default keeps library entry points free of
+/// surprise threads; the CLI and the daemon pass an explicit count.
+[[nodiscard]] int default_jobs();
+
+/// Resolve SweepOptions::jobs: 0 means default_jobs(), a negative value
+/// the hardware concurrency (at least 1), a positive value itself.
+[[nodiscard]] int resolve_jobs(int jobs);
 
 enum class FailureKind { kTransient, kPermanent };
 const char* to_string(FailureKind kind);
@@ -115,7 +127,7 @@ struct SweepOutcome {
 
 struct SweepOptions {
   /// Worker threads: 0 = GEARSIM_SWEEP_JOBS or serial, <0 = hardware
-  /// concurrency (util/parallel.hpp resolve_jobs).
+  /// concurrency (see resolve_jobs).
   int jobs = 0;
   /// Optional result cache; null = simulate every point.  Not owned.
   ResultCache* cache = nullptr;
@@ -163,7 +175,8 @@ class SweepRunner {
       const std::vector<SweepPoint>& points) const;
 
   /// All gears at one node count, fastest first (the paper's energy-time
-  /// curve).  Equivalent to ExperimentRunner::gear_sweep plus caching.
+  /// curve).  Equivalent to ExperimentRunner::gear_sweep plus caching and
+  /// fan-out.
   [[nodiscard]] std::vector<cluster::RunResult> gear_sweep(
       const cluster::Workload& workload, int nodes) const;
 

@@ -17,8 +17,7 @@ GearData measure_gear_data(cluster::ExperimentRunner& runner,
   const cpu::PowerModel power_model(runner.config().power,
                                     runner.config().gears);
   GearData data;
-  // One 1-node run per gear — independent points, so the sweep fans out
-  // over GEARSIM_SWEEP_JOBS workers (bit-identical to the serial loop).
+  // One 1-node run per gear, run serially in gear order.
   const std::vector<cluster::RunResult> runs = runner.gear_sweep(workload, 1);
   const Seconds t1 = runs.front().wall;
   for (std::size_t g = 0; g < runs.size(); ++g) {

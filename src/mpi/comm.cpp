@@ -16,7 +16,10 @@ struct Comm::Traced {
       : comm_(comm), type_(type) {
     comm_.world_.notify_enter(comm_.rank_, type, bytes, peer);
   }
-  ~Traced() { comm_.world_.notify_exit(comm_.rank_, type_); }
+  // An exit hook may suspend the rank (a DVFS gear switch).  A rank
+  // terminated while suspended there unwinds out of the call as from any
+  // other suspension point, so the destructor must let that through.
+  ~Traced() noexcept(false) { comm_.world_.notify_exit(comm_.rank_, type_); }
   Traced(const Traced&) = delete;
   Traced& operator=(const Traced&) = delete;
 

@@ -52,7 +52,8 @@ struct Evaluation {
 class PolicyEvaluator {
  public:
   struct Options {
-    /// Worker threads (util/parallel.hpp resolve_jobs semantics).
+    /// Worker threads, as exec::SweepOptions::jobs (see
+    /// exec::resolve_jobs).
     int jobs = 0;
     /// Optional result cache shared with other sweeps.  Not owned.
     exec::ResultCache* cache = nullptr;

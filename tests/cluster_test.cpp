@@ -12,9 +12,11 @@
 #include "cluster/dvfs.hpp"
 #include "cluster/experiment.hpp"
 #include "exec/result_io.hpp"
+#include "exec/sweep_runner.hpp"
 #include "model/gear_data.hpp"
 #include "mpi/comm.hpp"
 #include "util/hash.hpp"
+#include "util/statistics.hpp"
 #include "workloads/jacobi.hpp"
 #include "workloads/registry.hpp"
 
@@ -196,55 +198,65 @@ TEST(Runner, XeonClusterIsNoisyAcrossSeeds) {
   EXPECT_NE(ta.value(), tb.value());
 }
 
+/// Wall-time statistics of a repeated measurement, in repetition order.
+RunningStats wall_stats(const std::vector<RunResult>& runs) {
+  RunningStats stats;
+  for (const RunResult& r : runs) stats.add(r.wall.value());
+  return stats;
+}
+
+std::vector<std::string> json_of(const std::vector<RunResult>& runs) {
+  std::vector<std::string> out;
+  out.reserve(runs.size());
+  for (const RunResult& r : runs) out.push_back(exec::to_json(r));
+  return out;
+}
+
 TEST(Runner, RepeatedRunsQuantifyJitter) {
-  ExperimentRunner runner(athlon_cluster());
-  const auto stats =
-      runner.run_repeated(*workloads::make_workload("MG"), 4, 0, 5);
-  EXPECT_EQ(stats.runs.size(), 5u);
-  EXPECT_EQ(stats.time_s.count(), 5u);
+  const exec::SweepRunner sweep(athlon_cluster());
+  const auto runs = sweep.repeat(*workloads::make_workload("MG"), 4, 0, 5);
+  ASSERT_EQ(runs.size(), 5u);
+  const RunningStats time_s = wall_stats(runs);
   // Different seeds produce different (but close) times.
-  EXPECT_GT(stats.time_s.stddev(), 0.0);
-  EXPECT_LT(stats.time_cv(), 0.03);  // ~1% imbalance -> small spread.
-  EXPECT_NEAR(stats.mean_time().value(), stats.runs[0].wall.value(),
-              0.05 * stats.runs[0].wall.value());
+  EXPECT_GT(time_s.stddev(), 0.0);
+  EXPECT_LT(time_s.stddev() / time_s.mean(), 0.03);  // ~1% imbalance.
+  EXPECT_NEAR(time_s.mean(), runs[0].wall.value(), 0.05 * runs[0].wall.value());
 }
 
 TEST(Runner, RepeatedRunsWithZeroImbalanceAreIdenticalModuloNetwork) {
   ClusterConfig config = athlon_cluster();
   config.load_imbalance = 0.0;
-  ExperimentRunner runner(config);
-  const auto stats =
-      runner.run_repeated(*workloads::make_workload("EP"), 2, 0, 3);
+  const exec::SweepRunner sweep(config);
+  const RunningStats time_s =
+      wall_stats(sweep.repeat(*workloads::make_workload("EP"), 2, 0, 3));
   // EP has (almost) no network sensitivity; the spread collapses.
-  EXPECT_LT(stats.time_cv(), 1e-6);
+  EXPECT_LT(time_s.stddev() / time_s.mean(), 1e-6);
 }
 
 TEST(Runner, RepeatedRunsRequirePositiveCount) {
-  ExperimentRunner runner(athlon_cluster());
-  EXPECT_THROW(
-      (void)runner.run_repeated(*workloads::make_workload("EP"), 1, 0, 0),
-      ContractError);
+  const exec::SweepRunner sweep(athlon_cluster());
+  EXPECT_THROW((void)sweep.repeat(*workloads::make_workload("EP"), 1, 0, 0),
+               ContractError);
 }
 
 TEST(Runner, ParallelSweepsMatchSerialBitForBit) {
-  // gear_sweep / run_repeated with a worker pool must reproduce the
-  // serial results exactly — the executor only moves points, it never
-  // changes their seeds.
-  ExperimentRunner runner(athlon_cluster());
+  // The sweep fan-out only moves points between threads, it never changes
+  // their seeds: SweepRunner at 1 and 8 jobs reproduces the serial
+  // ExperimentRunner::gear_sweep, and its repetitions match across job
+  // counts.
   const workloads::Jacobi jacobi;
-  const auto serial = runner.gear_sweep(jacobi, 4, 1);
-  const auto wide = runner.gear_sweep(jacobi, 4, 8);
-  ASSERT_EQ(serial.size(), wide.size());
-  for (std::size_t g = 0; g < serial.size(); ++g) {
-    EXPECT_EQ(serial[g].wall.value(), wide[g].wall.value());
-    EXPECT_EQ(serial[g].energy.value(), wide[g].energy.value());
-    EXPECT_EQ(serial[g].mpi_calls, wide[g].mpi_calls);
-  }
-  const auto rep_serial = runner.run_repeated(jacobi, 2, 0, 4, 1);
-  const auto rep_wide = runner.run_repeated(jacobi, 2, 0, 4, 8);
-  EXPECT_EQ(rep_serial.time_s.mean(), rep_wide.time_s.mean());
-  EXPECT_EQ(rep_serial.time_s.stddev(), rep_wide.time_s.stddev());
-  EXPECT_EQ(rep_serial.energy_j.mean(), rep_wide.energy_j.mean());
+  exec::SweepOptions serial;
+  serial.jobs = 1;
+  exec::SweepOptions wide;
+  wide.jobs = 8;
+  const exec::SweepRunner one(athlon_cluster(), serial);
+  const exec::SweepRunner eight(athlon_cluster(), wide);
+  const auto reference =
+      json_of(ExperimentRunner(athlon_cluster()).gear_sweep(jacobi, 4));
+  EXPECT_EQ(json_of(one.gear_sweep(jacobi, 4)), reference);
+  EXPECT_EQ(json_of(eight.gear_sweep(jacobi, 4)), reference);
+  EXPECT_EQ(json_of(one.repeat(jacobi, 2, 0, 4)),
+            json_of(eight.repeat(jacobi, 2, 0, 4)));
 }
 
 TEST(Runner, UniformRunReportsDegenerateGearRange) {

@@ -1,17 +1,23 @@
 // Tests for the parallel sweep executor: cache keys, the JSON result
 // codec, the two-tier ResultCache (including store-v3 crash consistency:
 // torn writes, bit flips, legacy entries, stale temp files, quarantine),
-// and the determinism contract — SweepRunner output is bit-identical
-// (per to_json, which covers every RunResult field) across job counts
-// and cold/warm caches.
+// the sweep fan-out and its GEARSIM_SWEEP_JOBS parse, and the
+// determinism contract — SweepRunner output is bit-identical (per
+// to_json, which covers every RunResult field) across job counts and
+// cold/warm caches.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/dvfs.hpp"
@@ -549,15 +555,162 @@ TEST(SweepRunnerTest, MatchesExperimentRunnerGearSweep) {
 }
 
 TEST(SweepRunnerTest, RepeatMatchesRunRepeatedSeeds) {
-  // repeat() shifts seeds exactly like run_repeated: rep r uses
-  // (seed + r, jitter_seed + r).
+  // The one repetition rule: rep r is a plain run under (seed + r,
+  // jitter_seed + r), pinned byte for byte against a hand-shifted config.
   const workloads::Jacobi jacobi;
-  const cluster::ExperimentRunner direct(cluster::athlon_cluster());
-  const SweepRunner sweep(cluster::athlon_cluster());
-  const auto reference = direct.run_repeated(jacobi, 2, 1, 3);
+  const cluster::ClusterConfig base = cluster::athlon_cluster();
+  const SweepRunner sweep(base);
   const auto repeated = sweep.repeat(jacobi, 2, 1, 3);
-  ASSERT_EQ(reference.runs.size(), repeated.size());
-  EXPECT_EQ(fingerprints(reference.runs), fingerprints(repeated));
+  ASSERT_EQ(repeated.size(), 3u);
+  for (std::uint64_t r = 0; r < repeated.size(); ++r) {
+    cluster::ClusterConfig shifted = base;
+    shifted.seed = base.seed + r;
+    shifted.network.jitter_seed = base.network.jitter_seed + r;
+    EXPECT_EQ(to_json(cluster::ExperimentRunner(shifted).run(jacobi, 2, 1)),
+              to_json(repeated[r]))
+        << "rep " << r;
+  }
+  // The shift is real: neighbouring reps differ.
+  EXPECT_NE(to_json(repeated[0]), to_json(repeated[1]));
+}
+
+// ---- the sweep fan-out ------------------------------------------------------
+
+/// Rank 0 logs which point ran (node count, gear) and on which thread.
+class RecordingWorkload final : public cluster::Workload {
+ public:
+  struct Entry {
+    int nodes = 0;
+    std::size_t gear = 0;
+    std::thread::id thread;
+  };
+
+  [[nodiscard]] std::string name() const override { return "recording"; }
+  void run(cluster::RankContext& ctx) const override {
+    ctx.compute_upm(100.0, 1e3);
+    if (ctx.rank() != 0) return;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    log_.push_back({ctx.nprocs(), ctx.gear(), std::this_thread::get_id()});
+  }
+  [[nodiscard]] std::vector<Entry> log() const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return log_;
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  mutable std::vector<Entry> log_;
+};
+
+/// Every (nodes, gear) pair with nodes in [1, max_nodes], nodes-major.
+std::vector<SweepPoint> every_point(const cluster::Workload& workload,
+                                    int max_nodes) {
+  std::vector<SweepPoint> points;
+  for (int nodes = 1; nodes <= max_nodes; ++nodes) {
+    for (std::size_t g = 0; g < 6; ++g) {
+      points.push_back(SweepPoint{&workload, nodes, g, 0});
+    }
+  }
+  return points;
+}
+
+TEST(Parallel, CoversEveryIndexExactlyOnce) {
+  const RecordingWorkload recording;
+  SweepOptions options;
+  options.jobs = 8;
+  const SweepRunner runner(cluster::athlon_cluster(), options);
+  const auto points = every_point(recording, 8);
+  EXPECT_EQ(runner.run(points).size(), points.size());
+  std::vector<int> hits(points.size(), 0);
+  for (const auto& e : recording.log()) {
+    ++hits[static_cast<std::size_t>(e.nodes - 1) * 6 + e.gear];
+  }
+  EXPECT_EQ(hits, std::vector<int>(points.size(), 1));
+}
+
+TEST(Parallel, SerialFallbackForOneJob) {
+  // jobs = 1 runs inline on the calling thread, in index order.
+  const RecordingWorkload recording;
+  SweepOptions options;
+  options.jobs = 1;
+  const SweepRunner runner(cluster::athlon_cluster(), options);
+  const auto points = every_point(recording, 2);
+  (void)runner.run(points);
+  const auto log = recording.log();
+  ASSERT_EQ(log.size(), points.size());
+  for (std::size_t i = 0; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].nodes, points[i].nodes) << i;
+    EXPECT_EQ(log[i].gear, points[i].gear_index) << i;
+    EXPECT_EQ(log[i].thread, std::this_thread::get_id()) << i;
+  }
+}
+
+TEST(Parallel, ZeroIterationsIsANoOp) {
+  SweepOptions options;
+  options.jobs = 4;
+  const SweepRunner runner(cluster::athlon_cluster(), options);
+  EXPECT_TRUE(runner.run({}).empty());
+  const SweepOutcome outcome = runner.run_isolated({});
+  EXPECT_TRUE(outcome.results.empty());
+  EXPECT_TRUE(outcome.ok());
+}
+
+TEST(Parallel, ResolveJobsContract) {
+  EXPECT_EQ(resolve_jobs(3), 3);
+  EXPECT_GE(resolve_jobs(-1), 1);  // Hardware concurrency, at least 1.
+  EXPECT_GE(resolve_jobs(0), 1);   // Env default (serial unless overridden).
+}
+
+/// Sets or unsets GEARSIM_SWEEP_JOBS; restores the old value on
+/// destruction.
+class ScopedJobsEnv {
+ public:
+  ScopedJobsEnv() {
+    if (const char* old = std::getenv(kName)) saved_ = std::string(old);
+  }
+  ~ScopedJobsEnv() {
+    if (saved_) {
+      ::setenv(kName, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(kName);
+    }
+  }
+  ScopedJobsEnv(const ScopedJobsEnv&) = delete;
+  ScopedJobsEnv& operator=(const ScopedJobsEnv&) = delete;
+
+  static void set(const char* value) {
+    if (value == nullptr) {
+      ::unsetenv(kName);
+    } else {
+      ::setenv(kName, value, 1);
+    }
+  }
+
+ private:
+  static constexpr const char* kName = "GEARSIM_SWEEP_JOBS";
+  std::optional<std::string> saved_;
+};
+
+TEST(Parallel, DefaultJobsParsesTheEnvironmentStrictly) {
+  const ScopedJobsEnv guard;
+  const std::string past_int_max =
+      std::to_string(static_cast<long long>(INT_MAX) + 1);
+  const struct {
+    const char* value;  // nullptr = unset.
+    int expected;
+  } cases[] = {
+      {nullptr, 1}, {"", 1},    {"0", 1}, {"-3", 1},
+      {"abc", 1},   {"4x", 1},  {past_int_max.c_str(), 1},
+      {"99999999999999999999999", 1}, {"3", 3},
+  };
+  for (const auto& c : cases) {
+    ScopedJobsEnv::set(c.value);
+    EXPECT_EQ(default_jobs(), c.expected)
+        << (c.value != nullptr ? c.value : "<unset>");
+    EXPECT_EQ(resolve_jobs(0), c.expected)
+        << (c.value != nullptr ? c.value : "<unset>");
+  }
+  EXPECT_GE(resolve_jobs(-1), 1);
 }
 
 TEST(SweepRunnerTest, ColdAndWarmCacheAreByteIdentical) {

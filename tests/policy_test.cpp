@@ -8,6 +8,9 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <functional>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -646,6 +649,169 @@ TEST(PolicyEvaluator, ComposesWithFaultPlans) {
   const cluster::RunResult second = runner.run(*cg, 4, options);
   EXPECT_EQ(exec::to_json(first), exec::to_json(second));
   EXPECT_GT(first.wall.value(), 0.0);
+}
+
+// --- crash matrix ------------------------------------------------------------
+//
+// A crash or a deadlock ends the run by unwinding every rank still inside
+// a blocking call.  Under a comm-shifting policy the DVFS exit hook used
+// to switch gears in that unwind, so delay() threw from a destructor and
+// std::terminate() took the whole process down.  Every cell must return
+// a RunResult or throw one of the library's structured errors.
+
+/// One gear policy of the matrix, built fresh for every run.
+struct MatrixPolicy {
+  std::string name;
+  std::function<std::unique_ptr<cluster::GearPolicy>(int nprocs)> make;
+};
+
+MatrixPolicy comm_downshift() {
+  return {"comm-downshift",
+          [](int) { return std::make_unique<cluster::CommDownshift>(0, 5); }};
+}
+
+std::vector<MatrixPolicy> matrix_policies() {
+  SlackReclaimer::Params reclaim;
+  reclaim.gear_slowdowns = {1.0, 1.05, 1.12, 1.21, 1.33, 1.75};
+  return {
+      {"uniform",
+       [](int) { return std::make_unique<cluster::UniformGear>(2); }},
+      comm_downshift(),
+      {"timeout-downshift",
+       [](int n) {
+         return std::make_unique<TimeoutDownshift>(TimeoutDownshift::Params{},
+                                                   n);
+       }},
+      {"slack-reclaimer",
+       [reclaim](int n) {
+         return std::make_unique<SlackReclaimer>(reclaim, n);
+       }},
+      {"slack-adaptive",
+       [](int n) {
+         return std::make_unique<SlackAdaptive>(SlackAdaptive::Params{}, n);
+       }},
+  };
+}
+
+/// How a cell ended.  Anything else escaping run() fails the test; an
+/// abort fails it by killing the process.
+enum class CellEnd { kResult, kContractError, kSimulationError };
+
+CellEnd run_cell(const cluster::Workload& workload, int nodes,
+                 const MatrixPolicy& policy, const faults::FaultPlan& plan,
+                 cluster::RunResult* result = nullptr) {
+  const cluster::ExperimentRunner runner(cluster::athlon_cluster());
+  const auto instance = policy.make(nodes);
+  cluster::RunOptions options;
+  options.policy = instance.get();
+  options.faults = &plan;
+  try {
+    cluster::RunResult r = runner.run(workload, nodes, options);
+    if (result != nullptr) *result = std::move(r);
+    return CellEnd::kResult;
+  } catch (const ContractError&) {
+    return CellEnd::kContractError;
+  } catch (const SimulationError&) {  // NodeFailure included.
+    return CellEnd::kSimulationError;
+  }
+}
+
+TEST(CrashMatrix, CommDownshiftCrashOnCgFailsTheRun) {
+  // The reported case: CG on 4 nodes, CommDownshift(0, 5), node 0 dies,
+  // no checkpointing.  At 10 ms no rank is inside a gear-shifted call;
+  // at 1.2822 s ranks wait in a CG exchange at the comm gear, and the
+  // crash used to abort the process there.  Either way the run must
+  // fail as a result.
+  for (const double at : {0.01, 1.2822}) {
+    SCOPED_TRACE(at);
+    faults::FaultPlan plan;
+    plan.crash(0, seconds(at));
+    cluster::RunResult r;
+    ASSERT_EQ(run_cell(*workloads::make_workload("CG"), 4,
+                       comm_downshift(), plan, &r),
+              CellEnd::kResult);
+    EXPECT_EQ(r.outcome, cluster::RunOutcome::kFailed);
+    ASSERT_TRUE(r.fatal_crash.has_value());
+    EXPECT_EQ(r.fatal_crash->node, 0u);
+    EXPECT_EQ(r.wall.value(), at);
+  }
+}
+
+TEST(CrashMatrix, EveryWorkloadPolicyInstantAndCheckpointing) {
+  constexpr int kNodes = 4;
+  const cluster::ExperimentRunner runner(cluster::athlon_cluster());
+  const auto policies = matrix_policies();
+  for (const auto& entry : workloads::all_workloads()) {
+    const auto workload = entry.make();
+    ASSERT_TRUE(workload->supports(kNodes)) << entry.name;
+    const double solid = runner.run(*workload, kNodes, 0).wall.value();
+    const double fractions[] = {0.05, 0.5, 0.95};
+    for (std::size_t c = 0; c < std::size(fractions); ++c) {
+      for (const bool checkpointing : {false, true}) {
+        faults::FaultPlan plan;
+        plan.crash(c, seconds(solid * fractions[c]));
+        if (checkpointing) {
+          faults::CheckpointConfig ckpt;
+          ckpt.interval = seconds(solid / 4.0);
+          ckpt.write_time = seconds(solid / 100.0);
+          ckpt.restart_time = seconds(solid / 20.0);
+          plan.with_checkpointing(ckpt);
+        }
+        for (const MatrixPolicy& policy : policies) {
+          SCOPED_TRACE(entry.name + " " + policy.name + " crash@" +
+                       std::to_string(fractions[c]) +
+                       (checkpointing ? " checkpointing" : ""));
+          cluster::RunResult r;
+          ASSERT_EQ(run_cell(*workload, kNodes, policy, plan, &r),
+                    CellEnd::kResult);
+          // Every policy runs no faster than gear 0, so an early crash
+          // always lands inside the run.
+          if (fractions[c] <= 0.5) {
+            EXPECT_EQ(r.outcome,
+                      checkpointing
+                          ? cluster::RunOutcome::kCompletedAfterRestart
+                          : cluster::RunOutcome::kFailed);
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Ranks pair up and each waits for its partner first: a deadlock.
+class PairwiseRecv final : public cluster::Workload {
+ public:
+  [[nodiscard]] std::string name() const override { return "pairwise-recv"; }
+  void run(cluster::RankContext& ctx) const override {
+    ctx.compute_upm(100.0, 1e5);
+    ctx.comm().recv(ctx.rank() ^ 1, 0);
+  }
+};
+
+/// Rank 0 throws from inside a blocking call (a receive from a rank that
+/// does not exist) while the others wait in a barrier.
+class ThrowsInsideRecv final : public cluster::Workload {
+ public:
+  [[nodiscard]] std::string name() const override {
+    return "throws-inside-recv";
+  }
+  void run(cluster::RankContext& ctx) const override {
+    ctx.compute_upm(100.0, 1e5);
+    if (ctx.rank() == 0) ctx.comm().recv(ctx.nprocs(), 0);
+    ctx.comm().barrier();
+  }
+};
+
+TEST(CrashMatrix, DeadlockUnderCommDownshiftThrows) {
+  EXPECT_EQ(run_cell(PairwiseRecv(), 4, comm_downshift(),
+                     faults::FaultPlan{}),
+            CellEnd::kSimulationError);
+}
+
+TEST(CrashMatrix, RankThrowingInsideACallUnderCommDownshiftThrows) {
+  EXPECT_EQ(run_cell(ThrowsInsideRecv(), 4, comm_downshift(),
+                     faults::FaultPlan{}),
+            CellEnd::kContractError);
 }
 
 }  // namespace

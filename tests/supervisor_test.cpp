@@ -161,11 +161,10 @@ TEST(SweepSupervisorTest, DefaultClassification) {
 TEST(SweepSupervisorTest, EscapedJobExceptionIsContainedAndBookkept) {
   // Regression for the watchdog-vs-fail-fast race: an exception escaping
   // the per-attempt retry loop (allocation, the escape failpoint itself)
-  // used to propagate into parallel_for_ordered, whose fail-fast stop
-  // abandoned not-yet-claimed jobs and skipped the watchdog bookkeeping
-  // for in-flight ones.  The outer catch now turns
-  // any escape into a permanent JobFailure, so every other job still
-  // runs and every completed job still gets its watchdog check.
+  // used to stop the worker pool early, abandoning not-yet-claimed jobs
+  // and skipping the watchdog bookkeeping for in-flight ones.  The outer
+  // catch turns any escape into a permanent JobFailure, so every other
+  // job still runs and every completed job still gets its watchdog check.
   const workloads::Jacobi jacobi = tiny_jacobi();
   const auto points = make_points(jacobi, 6);
   SweepOptions options;

@@ -1,19 +1,14 @@
 // Unit tests for src/util: units, statistics, RNG, tables, CSV quoting,
-// the parallel-for worker pool (including clean drain and reusability
-// after a mid-sweep throw), and the failpoint registry.
+// and the failpoint registry.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "util/csv.hpp"
 #include "util/failpoint.hpp"
-#include "util/parallel.hpp"
 #include "util/random.hpp"
 #include "util/statistics.hpp"
 #include "util/table.hpp"
@@ -350,84 +345,6 @@ TEST(Csv, ParseInvertsEscape) {
 
 TEST(Csv, ParseRejectsUnterminatedQuote) {
   EXPECT_THROW((void)parse_csv_line("\"open"), ContractError);
-}
-
-// --- parallel_for_ordered ----------------------------------------------------
-
-TEST(Parallel, CoversEveryIndexExactlyOnce) {
-  std::vector<std::atomic<int>> hits(100);
-  parallel_for_ordered(8, hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(Parallel, SerialFallbackForOneJob) {
-  // jobs<=1 must run inline, in order, on the calling thread.
-  std::vector<std::size_t> order;
-  parallel_for_ordered(1, 5, [&](std::size_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(Parallel, ZeroIterationsIsANoOp) {
-  parallel_for_ordered(4, 0, [](std::size_t) { FAIL(); });
-}
-
-TEST(Parallel, LowestIndexExceptionWins) {
-  // When several indices throw, the caller sees the lowest one —
-  // deterministic regardless of which worker hit its error first.
-  try {
-    parallel_for_ordered(8, 64, [](std::size_t i) {
-      if (i % 2 == 1) throw std::runtime_error(std::to_string(i));
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "1");
-  }
-}
-
-TEST(Parallel, ResolveJobsContract) {
-  EXPECT_EQ(resolve_jobs(3), 3);
-  EXPECT_GE(resolve_jobs(-1), 1);  // Hardware concurrency, at least 1.
-  EXPECT_GE(resolve_jobs(0), 1);   // Env default (serial unless overridden).
-}
-
-TEST(Parallel, DrainsCleanlyAfterThrow) {
-  // On a mid-sweep throw every worker is joined before the rethrow: no
-  // detached thread may keep claiming indices (or touching caller state)
-  // after parallel_for_ordered returns.  A fail-fast stop also means most
-  // not-yet-claimed indices are skipped, not burned through.
-  std::atomic<std::size_t> executed{0};
-  try {
-    parallel_for_ordered(4, 1000, [&](std::size_t i) {
-      if (i == 5) throw std::runtime_error("boom");
-      executed.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error&) {
-  }
-  const std::size_t at_return = executed.load();
-  EXPECT_LT(at_return, 1000u);  // Fail-fast: the tail never ran.
-  // If any worker survived the join it would still be incrementing.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ(executed.load(), at_return);
-}
-
-TEST(Parallel, ReusableAfterThrow) {
-  // The sweep cache keeps a caller alive across failures: after catching
-  // a mid-parallel exception, the very next parallel_for_ordered on the
-  // same thread (and the same buffers) must behave normally.
-  std::vector<std::atomic<int>> hits(64);
-  try {
-    parallel_for_ordered(4, hits.size(), [&](std::size_t i) {
-      if (i >= 8) throw std::runtime_error("poisoned tail");
-      ++hits[i];
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error&) {
-  }
-  for (auto& h : hits) h.store(0);
-  parallel_for_ordered(4, hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 // --- failpoints --------------------------------------------------------------
