@@ -1,5 +1,7 @@
 #include "cluster/config.hpp"
 
+#include "util/assert.hpp"
+
 namespace gearsim::cluster {
 
 ClusterConfig athlon_cluster() {
@@ -38,6 +40,14 @@ ClusterConfig xeon_cluster() {
   c.power.cpu_dynamic = watts(60.0);
   c.network = net::shared_xeon_network();
   return c;
+}
+
+ClusterConfig cluster_by_name(const std::string& name) {
+  if (name == "athlon") return athlon_cluster();
+  if (name == "sun") return sun_cluster();
+  if (name == "xeon") return xeon_cluster();
+  throw ContractError("unknown cluster: " + name +
+                      " (expected athlon, sun, or xeon)");
 }
 
 void install_topology(ClusterConfig* config,

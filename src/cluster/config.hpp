@@ -51,6 +51,12 @@ ClusterConfig sun_cluster();
 /// The discarded shared-network machine.
 ClusterConfig xeon_cluster();
 
+/// The preset named `name` ("athlon", "sun" or "xeon"); throws
+/// ContractError on any other name.  The CLI's --cluster and the serve
+/// protocol's "cluster" field both go through here, so they accept the
+/// same names.
+ClusterConfig cluster_by_name(const std::string& name);
+
 /// Install a routing topology (see net/topology.hpp) on a preset:
 /// sets network.topology and raises max_nodes to the shape's host
 /// capacity when it seats more than the preset allows, so e.g. a

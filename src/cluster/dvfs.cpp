@@ -6,6 +6,11 @@
 
 namespace gearsim::cluster {
 
+PolicyFactory::PolicyFactory(Make make) : make_(std::move(make)) {
+  GEARSIM_REQUIRE(static_cast<bool>(make_), "policy factory needs a maker");
+  signature_ = make_(1)->signature();
+}
+
 PerRankGear::PerRankGear(std::vector<std::size_t> gears)
     : gears_(std::move(gears)) {
   GEARSIM_REQUIRE(!gears_.empty(), "per-rank policy needs at least one gear");

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -98,17 +99,26 @@ class GearPolicy {
 };
 
 /// Creates one fresh policy instance per run — how policies travel
-/// through exec::SweepRunner, whose worker pool may execute many runs of
-/// the same nominal policy concurrently.  signature() doubles as the
-/// cache-key component (see exec/cache_key.hpp): it must equal the
-/// signature of every instance the factory produces.
+/// through exec::SweepRunner, whose fan-out may execute many runs of the
+/// same nominal policy concurrently.  `make` builds an instance sized for
+/// `nprocs` ranks; the signature is taken once, at construction, from
+/// make(1).  It doubles as the cache-key component (see
+/// exec/cache_key.hpp), so every instance `make` builds must carry it.
 class PolicyFactory {
  public:
-  virtual ~PolicyFactory() = default;
-  [[nodiscard]] virtual std::string signature() const = 0;
+  using Make = std::function<std::unique_ptr<GearPolicy>(int nprocs)>;
+
+  explicit PolicyFactory(Make make);
+
+  [[nodiscard]] const std::string& signature() const { return signature_; }
   /// Fresh instance sized for `nprocs` ranks.
-  [[nodiscard]] virtual std::unique_ptr<GearPolicy> instantiate(
-      int nprocs) const = 0;
+  [[nodiscard]] std::unique_ptr<GearPolicy> instantiate(int nprocs) const {
+    return make_(nprocs);
+  }
+
+ private:
+  Make make_;
+  std::string signature_;
 };
 
 /// The paper's measured configuration: every rank at one gear.
@@ -152,53 +162,6 @@ class CommDownshift final : public GearPolicy {
   [[nodiscard]] std::size_t comm_gear(int) const override { return comm_; }
   [[nodiscard]] bool shifts_during_comm() const override {
     return comm_ != compute_;
-  }
-
- private:
-  std::size_t compute_;
-  std::size_t comm_;
-};
-
-// --- factories for the static policies ---------------------------------------
-
-class UniformGearFactory final : public PolicyFactory {
- public:
-  explicit UniformGearFactory(std::size_t gear) : gear_(gear) {}
-  [[nodiscard]] std::string signature() const override {
-    return UniformGear(gear_).signature();
-  }
-  [[nodiscard]] std::unique_ptr<GearPolicy> instantiate(int) const override {
-    return std::make_unique<UniformGear>(gear_);
-  }
-
- private:
-  std::size_t gear_;
-};
-
-class PerRankGearFactory final : public PolicyFactory {
- public:
-  explicit PerRankGearFactory(std::vector<std::size_t> gears)
-      : gears_(std::move(gears)) {}
-  [[nodiscard]] std::string signature() const override {
-    return PerRankGear(gears_).signature();
-  }
-  [[nodiscard]] std::unique_ptr<GearPolicy> instantiate(int) const override {
-    return std::make_unique<PerRankGear>(gears_);
-  }
-
- private:
-  std::vector<std::size_t> gears_;
-};
-
-class CommDownshiftFactory final : public PolicyFactory {
- public:
-  CommDownshiftFactory(std::size_t compute_gear, std::size_t comm_gear)
-      : compute_(compute_gear), comm_(comm_gear) {}
-  [[nodiscard]] std::string signature() const override {
-    return CommDownshift(compute_, comm_).signature();
-  }
-  [[nodiscard]] std::unique_ptr<GearPolicy> instantiate(int) const override {
-    return std::make_unique<CommDownshift>(compute_, comm_);
   }
 
  private:

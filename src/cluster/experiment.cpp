@@ -199,12 +199,8 @@ RunResult ExperimentRunner::run(const Workload& workload, int nodes,
   };
 
   // Spawn one process per rank.  Each starts idle, runs the workload body,
-  // and records its finish time.  Every rank starts at t=0, so the start
-  // events are collected into one batch and submitted with a single queue
-  // operation; batch order matches loop order, keeping rank start order
-  // (and thus every downstream seq) identical to per-rank scheduling.
-  sim::EventBatch start_batch;
-  start_batch.reserve(static_cast<std::size_t>(nodes));
+  // and records its finish time.  Every rank starts at t=0 in rank order:
+  // nothing between two spawns queues an event.
   for (int r = 0; r < nodes; ++r) {
     const auto node = static_cast<std::size_t>(r);
     const std::size_t rank_gear =
@@ -235,11 +231,9 @@ RunResult ExperimentRunner::run(const Workload& workload, int nodes,
           ctx.finalize_residency();
           residency[node] = ctx.gear_residency();
           on_rank_finished();
-        },
-        start_batch);
+        });
     world.bind_rank(r, proc);
   }
-  engine.schedule_batch(start_batch);
 
   // Crash events abort the engine only when no checkpoint policy exists
   // to absorb them; in compose mode the solid run must complete.
@@ -321,7 +315,6 @@ RunResult ExperimentRunner::run(const Workload& workload, int nodes,
   }
   result.mpi_calls = world.traced_calls();
   result.event_order_hash = engine.order_hash();
-  result.event_set_hash = engine.event_set_hash();
   result.messages = network.messages_carried();
   result.net_bytes = network.bytes_carried();
   result.retransmissions = network.retransmissions();

@@ -63,9 +63,6 @@ struct RunResult {
   /// cache — the regression tripwire for event-kernel changes.  Carries
   /// no physics; plots and reports never read it.
   std::uint64_t event_order_hash = 0;
-  /// Order-independent event fingerprint (sum of per-event time mixes,
-  /// see sim::Engine::event_set_hash).
-  std::uint64_t event_set_hash = 0;
   /// Always 0: every run executes on the serial engine.  Kept for
   /// callers that read them; never cached or compared.
   std::size_t engine_partitions = 0;

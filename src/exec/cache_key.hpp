@@ -28,14 +28,17 @@ namespace gearsim::exec {
 /// results grew per-rank gear residency.
 /// v3: results grew event_order_hash (the dispatch-order determinism
 /// probe); older cached entries lack the field and must be re-run.
-/// v4: results grew event_set_hash (the order-independent event probe).
+/// v4: results grew an order-independent event probe (a wrapping sum of
+/// per-event time hashes).
 /// v5: lossy-link loss draws are keyed by transfer identity (src,
 /// per-source ordinal) instead of global consumption order — link-fault
 /// results changed, so every pre-v5 entry must be recomputed.
 /// v6: net{...} grew topology=<spec> (flat / fat-tree / torus routing —
 /// see net/topology.hpp).  Flat runs are byte-identical to v5, but the
 /// key text changed shape, so the version retires old entries wholesale.
-inline constexpr int kKeyFormatVersion = 6;
+/// v7: results dropped the v4 order-independent probe; event_order_hash
+/// is the one event fingerprint.  Every other result byte is unchanged.
+inline constexpr int kKeyFormatVersion = 7;
 
 /// FNV-1a 64-bit hash of a byte string.
 [[nodiscard]] std::uint64_t fnv1a(std::string_view bytes);

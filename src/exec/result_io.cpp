@@ -67,7 +67,6 @@ std::string to_json(const cluster::RunResult& r) {
   s += ",\"messages\":" + std::to_string(r.messages);
   s += ",\"net_bytes\":" + std::to_string(r.net_bytes);
   s += ",\"event_order_hash\":" + std::to_string(r.event_order_hash);
-  s += ",\"event_set_hash\":" + std::to_string(r.event_set_hash);
   s += ",\"gear_switches\":" + std::to_string(r.gear_switches);
   s += ",\"gear_residency\":[";
   for (std::size_t i = 0; i < r.gear_residency.size(); ++i) {
@@ -166,7 +165,6 @@ cluster::RunResult result_from_json(std::string_view text) {
   r.messages = field(o, "messages").as_u64();
   r.net_bytes = static_cast<Bytes>(field(o, "net_bytes").as_u64());
   r.event_order_hash = field(o, "event_order_hash").as_u64();
-  r.event_set_hash = field(o, "event_set_hash").as_u64();
   r.gear_switches = field(o, "gear_switches").as_u64();
   for (const json::Value& rankv : field(o, "gear_residency").as_array()) {
     std::vector<Seconds> per_gear;

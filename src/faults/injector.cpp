@@ -58,11 +58,9 @@ void FaultInjector::arm_crashes(sim::Engine& engine,
                                 std::function<bool()> still_running) {
   GEARSIM_REQUIRE(static_cast<bool>(still_running),
                   "crash events need a liveness predicate");
-  // The whole crash schedule is known up front: submit it as one batch.
-  sim::EventBatch batch;
-  batch.reserve(plan_.crashes().size());
+  // The whole crash schedule is known up front: queue it in plan order.
   for (const CrashEvent& ev : plan_.crashes()) {
-    batch.add(
+    engine.schedule_at(
         ev.at, [this, ev, still_running]() {
           // Only the first crash aborts; the run is already over (or
           // already aborted) for the rest.
@@ -75,7 +73,6 @@ void FaultInjector::arm_crashes(sim::Engine& engine,
           throw NodeFailure(ev.node, ev.at);
         });
   }
-  if (!batch.empty()) engine.schedule_batch(batch);
 }
 
 std::size_t FaultInjector::effective_gear(std::size_t node, Seconds now,

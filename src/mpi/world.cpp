@@ -127,14 +127,13 @@ void World::notify_exit(Rank rank, CallType t) {
   for (auto* obs : observers_) obs->on_exit(rank, t, now);
 }
 
-void World::complete_recv(detail::OpState& op, const detail::Envelope& env,
-                          sim::EventBatch& wakes) {
+void World::complete_recv(detail::OpState& op, const detail::Envelope& env) {
   op.complete = true;
   op.status = Status{env.src, env.tag, env.bytes};
   detail::OpState* sender = env.send_state.get();
   if (sender != nullptr && !sender->complete) {
     sender->complete = true;
-    if (sender->waiter != nullptr) sender->waiter->wake(wakes);
+    if (sender->waiter != nullptr) sender->waiter->wake();
   }
 }
 
@@ -150,12 +149,10 @@ void World::deliver(Rank dst, detail::Envelope&& env) {
   }
   const detail::OpRef op = std::move(*it);
   posted.erase(it);
-  // Batch the wake chain: a rendezvous sender's wake (from complete_recv)
-  // and the receiver's wake go to the queue in one operation, sender
-  // first — the order individual schedules produced.
-  complete_recv(*op, env, wake_batch_);
-  if (op->waiter != nullptr) op->waiter->wake(wake_batch_);
-  if (!wake_batch_.empty()) engine_.schedule_batch(wake_batch_);
+  // A rendezvous sender's wake (from complete_recv) is queued before the
+  // receiver's, so the sender resumes first.
+  complete_recv(*op, env);
+  if (op->waiter != nullptr) op->waiter->wake();
 }
 
 void World::post_recv(Rank dst, detail::OpRef op) {
@@ -165,9 +162,8 @@ void World::post_recv(Rank dst, detail::OpRef op) {
                                  return detail::matches(*op, env);
                                });
   if (it != queue.end()) {
-    complete_recv(*op, *it, wake_batch_);
+    complete_recv(*op, *it);
     queue.erase(it);
-    if (!wake_batch_.empty()) engine_.schedule_batch(wake_batch_);
     return;
   }
   posted_[dst].push_back(std::move(op));

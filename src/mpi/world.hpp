@@ -196,10 +196,9 @@ class World {
   /// posted keeps its state alive, so a dropped irecv still consumes its
   /// message.
   void post_recv(Rank dst, detail::OpRef op);
-  /// Complete `op` against `env`; a rendezvous sender's wake is appended
-  /// to `wakes` (submitted by the caller in one batch, sender first).
-  static void complete_recv(detail::OpState& op, const detail::Envelope& env,
-                            sim::EventBatch& wakes);
+  /// Complete `op` against `env`, waking a rendezvous sender blocked on
+  /// it; the caller wakes the receiver after, so the sender resumes first.
+  static void complete_recv(detail::OpState& op, const detail::Envelope& env);
 
   sim::Engine& engine_;
   net::Network& network_;
@@ -214,12 +213,6 @@ class World {
   std::vector<CallObserver*> observers_;
   std::uint64_t traced_calls_ = 0;
   int last_context_ = 0;
-  /// Reusable wake batch for the delivery path: one message completion
-  /// can wake a rendezvous sender *and* the receiver — batching submits
-  /// both with a single queue operation (sender first, preserving the
-  /// historical dispatch order).  Safe as a member: delivery runs in
-  /// engine context, one event at a time, and drains it before returning.
-  sim::EventBatch wake_batch_;
 };
 
 }  // namespace gearsim::mpi

@@ -76,24 +76,31 @@ std::vector<RosterEntry> policy_roster(
   std::vector<RosterEntry> roster;
   const cluster::PerRankGear planned = cluster::plan_node_bottleneck(
       static_runs.front(), ladder, options.safety);
-  roster.push_back(
-      {"node-bottleneck",
-       std::make_unique<cluster::PerRankGearFactory>(planned.gears())});
-  roster.push_back(
-      {"comm-downshift",
-       std::make_unique<cluster::CommDownshiftFactory>(0, slowest)});
+  roster.push_back({"node-bottleneck",
+                    cluster::PolicyFactory([gears = planned.gears()](int) {
+                      return std::make_unique<cluster::PerRankGear>(gears);
+                    })});
+  roster.push_back({"comm-downshift",
+                    cluster::PolicyFactory([slowest](int) {
+                      return std::make_unique<cluster::CommDownshift>(0,
+                                                                      slowest);
+                    })});
   TimeoutDownshift::Params tp;
   tp.park_gear = slowest;
   tp.timeout = options.timeout;
-  roster.push_back(
-      {"timeout-downshift", std::make_unique<TimeoutDownshiftFactory>(tp)});
+  roster.push_back({"timeout-downshift",
+                    cluster::PolicyFactory([tp](int nprocs) {
+                      return std::make_unique<TimeoutDownshift>(tp, nprocs);
+                    })});
   SlackReclaimer::Params sp;
   sp.gear_slowdowns = ladder;
   sp.perf_budget = options.perf_budget;
   sp.safety = options.safety;
   sp.park_timeout = options.timeout;
-  roster.push_back(
-      {"slack-reclaimer", std::make_unique<SlackReclaimerFactory>(sp)});
+  roster.push_back({"slack-reclaimer",
+                    cluster::PolicyFactory([sp](int nprocs) {
+                      return std::make_unique<SlackReclaimer>(sp, nprocs);
+                    })});
   return roster;
 }
 
@@ -137,7 +144,7 @@ Evaluation PolicyEvaluator::evaluate(const cluster::Workload& workload,
   points.reserve(roster.size());
   for (const RosterEntry& entry : roster) {
     points.push_back(
-        exec::SweepPoint{&workload, nodes, 0, 0, entry.factory.get()});
+        exec::SweepPoint{&workload, nodes, 0, 0, &entry.factory});
   }
   const std::vector<cluster::RunResult> runs = runner.run(points);
 
@@ -145,7 +152,7 @@ Evaluation PolicyEvaluator::evaluate(const cluster::Workload& workload,
   policy_runs.reserve(runs.size());
   for (std::size_t i = 0; i < runs.size(); ++i) {
     policy_runs.push_back(
-        PolicyRun{roster[i].name, roster[i].factory->signature(), runs[i]});
+        PolicyRun{roster[i].name, roster[i].factory.signature(), runs[i]});
   }
   return assemble_evaluation(workload.name(), nodes, std::move(static_runs),
                              std::move(policy_runs));

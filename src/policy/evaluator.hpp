@@ -93,7 +93,7 @@ class PolicyEvaluator {
 /// per-run policy instances.
 struct RosterEntry {
   std::string name;
-  std::unique_ptr<cluster::PolicyFactory> factory;
+  cluster::PolicyFactory factory;
 };
 
 /// The adaptive lineup evaluate() races, derived from the static sweep

@@ -116,20 +116,4 @@ class SlackReclaimer final : public RuntimeController {
   obs::Counter* m_backoffs_ = nullptr;
 };
 
-class SlackReclaimerFactory final : public cluster::PolicyFactory {
- public:
-  explicit SlackReclaimerFactory(SlackReclaimer::Params params)
-      : params_(std::move(params)) {}
-  [[nodiscard]] std::string signature() const override {
-    return SlackReclaimer(params_, 1).signature();
-  }
-  [[nodiscard]] std::unique_ptr<cluster::GearPolicy> instantiate(
-      int nprocs) const override {
-    return std::make_unique<SlackReclaimer>(params_, nprocs);
-  }
-
- private:
-  SlackReclaimer::Params params_;
-};
-
 }  // namespace gearsim::policy

@@ -54,20 +54,4 @@ class TimeoutDownshift final : public RuntimeController {
   obs::Counter* m_parks_ = nullptr;  ///< Refreshed in reset().
 };
 
-class TimeoutDownshiftFactory final : public cluster::PolicyFactory {
- public:
-  explicit TimeoutDownshiftFactory(TimeoutDownshift::Params params)
-      : params_(params) {}
-  [[nodiscard]] std::string signature() const override {
-    return TimeoutDownshift(params_, 1).signature();
-  }
-  [[nodiscard]] std::unique_ptr<cluster::GearPolicy> instantiate(
-      int nprocs) const override {
-    return std::make_unique<TimeoutDownshift>(params_, nprocs);
-  }
-
- private:
-  TimeoutDownshift::Params params_;
-};
-
 }  // namespace gearsim::policy

@@ -12,15 +12,6 @@ namespace gearsim::serve {
 
 namespace {
 
-/// Same mapping as the CLI's --cluster flag.
-cluster::ClusterConfig cluster_by_name(const std::string& name) {
-  if (name == "athlon") return cluster::athlon_cluster();
-  if (name == "sun") return cluster::sun_cluster();
-  if (name == "xeon") return cluster::xeon_cluster();
-  throw ContractError("unknown cluster: " + name +
-                      " (expected athlon, sun, or xeon)");
-}
-
 std::string u64(std::uint64_t v) { return std::to_string(v); }
 
 }  // namespace
@@ -91,7 +82,7 @@ const exec::SweepRunner& Service::runner_for(const Request& request) {
     sweep.jobs = options_.jobs;
     sweep.cache = &cache_;
     sweep.max_attempts = 1 + std::max(0, options_.retries);
-    cluster::ClusterConfig config = cluster_by_name(request.cluster);
+    cluster::ClusterConfig config = cluster::cluster_by_name(request.cluster);
     if (!request.topology.empty()) {
       cluster::install_topology(&config,
                                 net::parse_topology(request.topology));
@@ -224,7 +215,8 @@ std::string Service::handle_request(const Request& request) {
     return shutdown_response();
   }
 
-  const cluster::ClusterConfig config = cluster_by_name(request.cluster);
+  const cluster::ClusterConfig config =
+      cluster::cluster_by_name(request.cluster);
   const auto workload = workloads::make_workload(request.workload);
 
   if (request.type == "run") {
@@ -268,7 +260,7 @@ std::string Service::handle_request(const Request& request) {
   policy_points.reserve(roster.size());
   for (const policy::RosterEntry& entry : roster) {
     policy_points.push_back(exec::SweepPoint{workload.get(), request.nodes, 0,
-                                             0, entry.factory.get()});
+                                             0, &entry.factory});
   }
   const std::vector<cluster::RunResult> runs =
       run_points(request, policy_points);
@@ -276,7 +268,7 @@ std::string Service::handle_request(const Request& request) {
   rows.reserve(runs.size());
   for (std::size_t i = 0; i < runs.size(); ++i) {
     rows.push_back(policy::PolicyRun{roster[i].name,
-                                     roster[i].factory->signature(), runs[i]});
+                                     roster[i].factory.signature(), runs[i]});
   }
   return race_response(
       request, policy::assemble_evaluation(workload->name(), request.nodes,

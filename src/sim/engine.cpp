@@ -87,13 +87,6 @@ void Process::wake() {
   engine_.schedule_at(engine_.now(), [this] { resume(); });
 }
 
-void Process::wake(EventBatch& into) {
-  GEARSIM_REQUIRE(state_ == State::kBlocked,
-                  "wake() targets a process that is not blocked");
-  state_ = State::kReady;
-  into.add(engine_.now(), [this] { resume(); });
-}
-
 void Process::terminate() {
   if (state_ == State::kFinished) return;
   terminate_requested_ = true;
@@ -156,17 +149,6 @@ void Engine::schedule_after(Seconds dt, EventFn fn) {
   schedule_at(now_ + dt, std::move(fn));
 }
 
-void Engine::schedule_batch(EventBatch& batch) {
-  batch.visit_meta([this](Seconds t, bool on_heap) {
-    GEARSIM_REQUIRE(t >= now_, "event scheduled in the past");
-    count_pool_path(on_heap);
-  });
-  queue_.push_batch(batch);
-  if (m_queue_high_water_ != nullptr) {
-    m_queue_high_water_->set(static_cast<double>(queue_.size()));
-  }
-}
-
 void Engine::count_pool_path(bool on_heap) {
   if (on_heap) {
     ++pool_fallback_allocs_;
@@ -188,18 +170,6 @@ Process& Engine::spawn(std::string name, std::function<void(Process&)> body) {
   return ref;
 }
 
-Process& Engine::spawn(std::string name, std::function<void(Process&)> body,
-                       EventBatch& into) {
-  auto proc = std::unique_ptr<Process>(
-      new Process(*this, std::move(name), std::move(body)));
-  Process& ref = *proc;
-  ref.state_ = Process::State::kReady;
-  into.add(now_, [&ref] { ref.resume(); });
-  processes_.push_back(std::move(proc));
-  if (m_spawned_ != nullptr) m_spawned_->add();
-  return ref;
-}
-
 void Engine::begin_event(Seconds time, std::uint64_t seq) {
   now_ = time;
   ++events_executed_;
@@ -209,10 +179,6 @@ void Engine::begin_event(Seconds time, std::uint64_t seq) {
   order_hash_ =
       util::fnv1a_mix(order_hash_, std::bit_cast<std::uint64_t>(time.value()));
   order_hash_ = util::fnv1a_mix(order_hash_, seq);
-  // Order-independent companion: a commutative (wrapping-sum) fold over
-  // per-event time hashes.
-  event_set_hash_ += util::fnv1a_mix(
-      util::kFnv1aOffset, std::bit_cast<std::uint64_t>(time.value()));
   if (m_events_ != nullptr) m_events_->add();
 }
 

@@ -20,8 +20,15 @@
 // still a dispatched event in every observable respect: it takes the
 // sequence number a push would have taken, counts toward
 // events_executed(), the pool and queue-high-water metrics, and folds
-// into order_hash() and event_set_hash() exactly as dispatching it would
-// have.  A delay that ties with a pending event goes through the queue.
+// into order_hash() exactly as dispatching it would have.  A delay that
+// ties with a pending event goes through the queue.
+//
+// There is one way to queue an event: schedule_at / schedule_after, which
+// spawn() and Process::wake() use too.  Each call takes the next sequence
+// number, so callers that create several events at one instant (an MPI
+// delivery waking a rendezvous sender and then the receiver, the fault
+// layer arming a crash schedule, the runner starting every rank) fix
+// their dispatch order by the order of their calls.
 //
 // Processes let workload skeletons be written as ordinary blocking code
 // (compute / mpi.send / mpi.recv ...), mirroring how real MPI programs
@@ -71,13 +78,6 @@ class Process {
   /// Make a blocked process runnable again at the current simulated time.
   /// Must be called from engine context or another running process.
   void wake();
-
-  /// Batched variant: mark the process ready and append its resume event
-  /// to `into` instead of scheduling immediately.  The caller submits the
-  /// batch via Engine::schedule_batch; until then the process must not be
-  /// woken again.  Lets the MPI delivery path wake a rendezvous sender
-  /// and the receiver with a single queue operation.
-  void wake(EventBatch& into);
 
   [[nodiscard]] State state() const { return state_; }
   [[nodiscard]] bool finished() const { return state_ == State::kFinished; }
@@ -129,22 +129,8 @@ class Engine {
   /// Schedule `fn` after a non-negative delay.
   void schedule_after(Seconds dt, EventFn fn);
 
-  /// Submit every event of `batch` (each at time >= now()) with one queue
-  /// operation.  Sequence numbers are assigned in submission order, so
-  /// the dispatch order is exactly what individual schedule_at calls
-  /// would have produced.  Drains the batch but keeps its capacity —
-  /// hot-path callers reuse one instance.
-  void schedule_batch(EventBatch& batch);
-
   /// Create a process that starts at the current simulated time.
   Process& spawn(std::string name, std::function<void(Process&)> body);
-
-  /// Batched variant: the start event is appended to `into` instead of
-  /// being scheduled immediately; the caller submits the batch via
-  /// schedule_batch.  Lets the experiment runner launch all ranks with a
-  /// single queue operation.
-  Process& spawn(std::string name, std::function<void(Process&)> body,
-                 EventBatch& into);
 
   /// Run until the event queue drains.  Throws SimulationError if
   /// processes remain blocked with no pending events (deadlock), and
@@ -182,23 +168,14 @@ class Engine {
   /// Number of events executed so far (for microbenchmarks/tests).
   [[nodiscard]] std::uint64_t events_executed() const { return events_executed_; }
 
-  /// Running FNV-1a fingerprint of the dispatch order: every executed
-  /// event folds its (time, insertion seq) pair in.  Two runs of the same
-  /// scenario are event-for-event identical iff their hashes match, which
-  /// is the determinism contract queue changes are verified against
-  /// (golden hashes in sim_test, cross-path checks in the sweep tests).
+  /// Running FNV-1a fingerprint of the dispatch order, the engine's one
+  /// event fingerprint: every executed event folds its (time, insertion
+  /// seq) pair in.  Two runs of the same scenario are event-for-event
+  /// identical iff their hashes match (a probabilistic probe: collisions
+  /// are possible but never systematic).  It is the determinism contract
+  /// kernel changes are verified against (golden hashes in sim_test,
+  /// cross-path checks in the sweep tests).
   [[nodiscard]] std::uint64_t order_hash() const { return order_hash_; }
-
-  /// Order-independent fingerprint of the dispatched-event *multiset*:
-  /// every executed event contributes fnv1a(time) by wrapping addition,
-  /// so the value is invariant under any reordering of the same events.
-  /// Two runs execute the same physical events iff their set hashes match
-  /// (a probabilistic probe, like order_hash — collisions are possible
-  /// but never systematic).  Sequence numbers are deliberately excluded:
-  /// they record insertion order, not which events ran.
-  [[nodiscard]] std::uint64_t event_set_hash() const {
-    return event_set_hash_;
-  }
 
   /// Events whose capture fit EventFn's inline buffer (the fast path).
   [[nodiscard]] std::uint64_t pool_inline_events() const {
@@ -220,7 +197,7 @@ class Engine {
  private:
   friend class Process;
   void dispatch_one();
-  /// Account for one dispatched event: time, counters, hashes.
+  /// Account for one dispatched event: time, counters, order hash.
   void begin_event(Seconds time, std::uint64_t seq);
   /// The fast path of Process::delay: when a resume at `t` would be the
   /// next event the active run dispatches, account for it as dispatched
@@ -237,7 +214,6 @@ class Engine {
   std::vector<std::unique_ptr<Process>> processes_;
   std::uint64_t events_executed_ = 0;
   std::uint64_t order_hash_ = util::kFnv1aOffset;
-  std::uint64_t event_set_hash_ = 0;
   std::uint64_t pool_inline_events_ = 0;
   std::uint64_t pool_fallback_allocs_ = 0;
   bool running_ = false;

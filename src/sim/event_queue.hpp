@@ -53,53 +53,15 @@
 
 namespace gearsim::sim {
 
-/// Shared finite-time guard for every event-insertion path.  A NaN time
-/// has no place in the (time, seq) total order (every comparison is
-/// false), silently corrupting dispatch order; negative and infinite
-/// times are always scheduling bugs.  Reject loudly, and reject at the
-/// *first* entry point — EventBatch::add as well as EventQueue::push —
-/// so a bad time is reported where it was produced, not after the batch
-/// has been carried across a wake or crash-arm path.
+/// Finite-time guard for every event insertion (EventQueue::push and
+/// consume_seq).  A NaN time has no place in the (time, seq) total order
+/// (every comparison is false), silently corrupting dispatch order;
+/// negative and infinite times are always scheduling bugs.  Reject
+/// loudly, before anything is queued.
 inline void validate_event_time(Seconds time) {
   GEARSIM_REQUIRE(std::isfinite(time.value()) && time.value() >= 0.0,
                   "event time must be finite and non-negative");
 }
-
-/// A group of events submitted with one queue operation.  Callers that
-/// create several events in one instant (an MPI delivery waking both the
-/// receiver and a rendezvous sender, the fault layer arming a crash
-/// schedule, the experiment runner starting every rank) batch them so
-/// sequence numbers are assigned in submission order with a single call —
-/// the dispatch order is exactly what N individual pushes would produce.
-/// Reusable: submission drains the items but keeps the capacity.
-class EventBatch {
- public:
-  void add(Seconds time, EventFn fn) {
-    validate_event_time(time);
-    items_.push_back(Item{time, std::move(fn)});
-  }
-
-  [[nodiscard]] bool empty() const { return items_.empty(); }
-  [[nodiscard]] std::size_t size() const { return items_.size(); }
-  void reserve(std::size_t n) { items_.reserve(n); }
-  void clear() { items_.clear(); }
-
-  /// Visit the (time, heap-fallback?) metadata of every pending item in
-  /// submission order — lets the engine validate times and count the
-  /// capture-pool paths without touching the callables.
-  template <typename Visitor>
-  void visit_meta(Visitor&& v) const {
-    for (const Item& item : items_) v(item.time, item.fn.on_heap());
-  }
-
- private:
-  friend class EventQueue;
-  struct Item {
-    Seconds time;
-    EventFn fn;
-  };
-  std::vector<Item> items_;
-};
 
 class EventQueue {
  public:
@@ -127,16 +89,6 @@ class EventQueue {
     GEARSIM_REQUIRE(next_seq_ < (std::uint64_t{1} << kSeqBits),
                     "event sequence space exhausted");
     return next_seq_++;
-  }
-
-  /// Submit every event of `batch` with one call; sequence numbers are
-  /// assigned in submission order.  Drains the batch but keeps its
-  /// capacity, so callers on the hot path can reuse one instance.
-  void push_batch(EventBatch& batch) {
-    for (EventBatch::Item& item : batch.items_) {
-      push(item.time, std::move(item.fn));
-    }
-    batch.clear();
   }
 
   [[nodiscard]] bool empty() const { return heap_.empty(); }

@@ -1,8 +1,8 @@
 // Focused tests for the pooled event queue and the small-buffer EventFn:
 // FIFO ordering under interleaved push/pop at equal timestamps (the
 // const_cast move-from-top regression), a seeded reference model of the
-// (time, seq) order, scheduling-time validation, batched submission, and
-// the inline/heap capture paths.
+// (time, seq) order, scheduling-time validation, and the inline/heap
+// capture paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -200,47 +200,9 @@ TEST(EventQueue, EngineRejectsSchedulingBeforeNow) {
   e.run();
 }
 
-TEST(EventQueue, BatchSubmissionMatchesIndividualPushOrder) {
-  std::vector<int> individual;
-  {
-    EventQueue q;
-    q.push(seconds(1.0), [&] { individual.push_back(10); });
-    q.push(seconds(0.5), [&] { individual.push_back(5); });
-    q.push(seconds(1.0), [&] { individual.push_back(11); });
-    while (!q.empty()) q.pop().fn();
-  }
-  std::vector<int> batched;
-  {
-    EventQueue q;
-    EventBatch b;
-    b.add(seconds(1.0), [&] { batched.push_back(10); });
-    b.add(seconds(0.5), [&] { batched.push_back(5); });
-    b.add(seconds(1.0), [&] { batched.push_back(11); });
-    q.push_batch(b);
-    EXPECT_TRUE(b.empty());  // Drained, reusable.
-    while (!q.empty()) q.pop().fn();
-  }
-  EXPECT_EQ(individual, (std::vector<int>{5, 10, 11}));
-  EXPECT_EQ(batched, individual);
-}
-
-// --- unified finite-time guard across every insertion path ---------------
-// validate_event_time is the single gate: each path must reject a NaN /
-// infinite / negative time at its *own* entry point, so the bug is
-// reported where the time was produced — not after the batch has been
-// carried across a wake or crash-arm path.
-
-TEST(EventQueue, BatchAddRejectsBadTimesAtInsertion) {
-  EventBatch b;
-  EXPECT_THROW(b.add(seconds(std::numeric_limits<double>::quiet_NaN()), [] {}),
-               ContractError);
-  EXPECT_THROW(b.add(seconds(std::numeric_limits<double>::infinity()), [] {}),
-               ContractError);
-  EXPECT_THROW(b.add(seconds(-1.0), [] {}), ContractError);
-  EXPECT_TRUE(b.empty());  // Nothing half-inserted.
-  b.add(seconds(0.0), [] {});
-  EXPECT_EQ(b.size(), 1U);
-}
+// --- finite-time guard on the engine's scheduling calls -------------------
+// validate_event_time is the single gate: schedule_at and schedule_after
+// reject a NaN / infinite / negative time before anything is queued.
 
 TEST(EventQueue, ScheduleAtRejectsNonFiniteTimes) {
   Engine e;
@@ -263,17 +225,6 @@ TEST(EventQueue, ScheduleAfterRejectsNonFiniteDelays) {
                    seconds(std::numeric_limits<double>::infinity()), [] {}),
                ContractError);
   EXPECT_THROW(e.schedule_after(seconds(-1.0), [] {}), ContractError);
-}
-
-TEST(EventQueue, PushBatchRevalidatesMovedBatches) {
-  // Even a batch built elsewhere is re-checked at submission (the queue
-  // cannot trust every producer forever) — and a valid one drains.
-  Engine e;
-  EventBatch b;
-  b.add(seconds(1.0), [] {});
-  e.schedule_batch(b);
-  EXPECT_TRUE(b.empty());
-  e.run();
 }
 
 TEST(EventQueue, PoolSlotsAreReusedUnderChurn) {

@@ -383,12 +383,25 @@ TEST(SlackReclaimer, ValidatesParams) {
 
 // --- cache identity (policy signatures in sweep keys) --------------------------
 
+cluster::PolicyFactory timeout_factory(TimeoutDownshift::Params params) {
+  return cluster::PolicyFactory([params](int nprocs) {
+    return std::make_unique<TimeoutDownshift>(params, nprocs);
+  });
+}
+
+cluster::PolicyFactory reclaimer_factory(SlackReclaimer::Params params) {
+  return cluster::PolicyFactory([params](int nprocs) {
+    return std::make_unique<SlackReclaimer>(params, nprocs);
+  });
+}
+
 TEST(PolicyCacheKey, TwoPoliciesAtSameNominalGearKeyDifferently) {
   const cluster::ClusterConfig config = cluster::athlon_cluster();
-  const cluster::CommDownshiftFactory comm(0, 5);
+  const cluster::PolicyFactory comm(
+      [](int) { return std::make_unique<cluster::CommDownshift>(0, 5); });
   TimeoutDownshift::Params tp;
   tp.park_gear = 5;
-  const TimeoutDownshiftFactory timeout(tp);
+  const cluster::PolicyFactory timeout = timeout_factory(tp);
   // Both policies compute at gear 0 and the points share gear_index 0 —
   // only the policy signature separates them.
   const exec::CacheKey none =
@@ -409,11 +422,38 @@ TEST(PolicyCacheKey, FactorySignaturesEncodeParameters) {
   SlackReclaimer::Params a = reclaimer_params();
   SlackReclaimer::Params b = reclaimer_params();
   b.perf_budget = 0.10;
-  EXPECT_NE(SlackReclaimerFactory(a).signature(),
-            SlackReclaimerFactory(b).signature());
+  EXPECT_NE(reclaimer_factory(a).signature(),
+            reclaimer_factory(b).signature());
   TimeoutDownshift::Params tp;
-  const TimeoutDownshiftFactory f(tp);
+  const cluster::PolicyFactory f = timeout_factory(tp);
   EXPECT_EQ(f.signature(), f.instantiate(4)->signature());
+}
+
+TEST(PolicyCacheKey, RosterSignaturesArePinned) {
+  // The roster's signatures are cache-key text: a byte that moves here
+  // retires every cached policy result.  CG on 4 athlon nodes, default
+  // evaluator options.
+  const cluster::ClusterConfig config = cluster::athlon_cluster();
+  const auto cg = workloads::make_workload("CG");
+  const std::vector<cluster::RunResult> statics =
+      cluster::ExperimentRunner(config).gear_sweep(*cg, 4);
+  const std::vector<RosterEntry> roster =
+      policy_roster(config, statics, PolicyEvaluator::Options{});
+  std::vector<std::string> signatures;
+  for (const RosterEntry& entry : roster) {
+    signatures.push_back(entry.factory.signature());
+  }
+  EXPECT_EQ(signatures,
+            (std::vector<std::string>{
+                "per-rank{gears=0,0,0,0}",
+                "comm-downshift{compute=0,comm=5}",
+                "timeout-downshift{compute=0,park=5,"
+                "timeout=0.00050000000000000001,alpha=0.5}",
+                "slack-reclaimer{ladder=1,1.0165894622967806,"
+                "1.0373262901677569,1.0639879260018692,1.0995367737806845,"
+                "1.2239577410065396;budget=0.050000000000000003,"
+                "hysteresis=2,safety=0.90000000000000002,pin=0.02,park=1,"
+                "park_timeout=0.00050000000000000001,alpha=0.5}"}));
 }
 
 // --- straggler cap precedence --------------------------------------------------
@@ -606,7 +646,7 @@ TEST(PolicyEvaluator, PolicyPointsAreCachedAndBitIdenticalAcrossJobs) {
   const auto cg = workloads::make_workload("CG");
   TimeoutDownshift::Params tp;
   tp.park_gear = 5;
-  const TimeoutDownshiftFactory factory(tp);
+  const cluster::PolicyFactory factory = timeout_factory(tp);
   const std::vector<exec::SweepPoint> points{
       exec::SweepPoint{cg.get(), 4, 0, 0, &factory},
       exec::SweepPoint{cg.get(), 8, 0, 0, &factory}};

@@ -189,14 +189,6 @@ class MetricsSink {
   std::chrono::steady_clock::time_point start_;
 };
 
-cluster::ClusterConfig cluster_by_name(const std::string& name) {
-  if (name == "athlon") return cluster::athlon_cluster();
-  if (name == "sun") return cluster::sun_cluster();
-  if (name == "xeon") return cluster::xeon_cluster();
-  throw ContractError("unknown cluster: " + name +
-                      " (expected athlon, sun, or xeon)");
-}
-
 /// The cluster preset plus the network/scale overrides shared by every
 /// simulating command: --topology SPEC swaps the flat backplane for a
 /// routed fat-tree/torus (see docs/NETWORK.md for the grammar), and
@@ -206,7 +198,7 @@ cluster::ClusterConfig cluster_by_name(const std::string& name) {
 /// routed run or vice versa.
 cluster::ClusterConfig cluster_from_args(const Args& args) {
   cluster::ClusterConfig config =
-      cluster_by_name(args.get("cluster", "athlon"));
+      cluster::cluster_by_name(args.get("cluster", "athlon"));
   if (args.has("topology")) {
     cluster::install_topology(
         &config, net::parse_topology(args.get("topology", "flat")));
@@ -921,7 +913,7 @@ int cmd_query(const Args& args) {
     print_run(serve::results_from_response(response).at(0));
   } else if (type == "sweep") {
     const cluster::ClusterConfig config =
-        cluster_by_name(json::field(obj, "cluster").as_string());
+        cluster::cluster_by_name(json::field(obj, "cluster").as_string());
     const int repeat = json::field(obj, "repeat").as_int();
     std::vector<std::optional<cluster::RunResult>> runs;
     for (auto& r : serve::results_from_response(response)) {
