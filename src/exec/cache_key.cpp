@@ -23,6 +23,15 @@ std::string num(double v) {
 
 std::string num(std::uint64_t v) { return std::to_string(v); }
 
+/// Append an integer's decimal rendering (std::to_string's digits).
+template <typename Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  GEARSIM_ENSURE(ec == std::errc(), "integer rendering failed");
+  out.append(buf, ptr);
+}
+
 }  // namespace
 
 std::uint64_t fnv1a(std::string_view bytes) { return util::fnv1a(bytes); }
@@ -130,17 +139,40 @@ CacheKey sweep_point_key(const cluster::ClusterConfig& config,
                          std::size_t gear_index, int rep,
                          const faults::FaultPlan* plan,
                          std::string_view policy_signature) {
+  return PointKeyer(config, plan)
+      .key(workload_signature, nodes, gear_index, rep, policy_signature);
+}
+
+PointKeyer::PointKeyer(const cluster::ClusterConfig& config,
+                       const faults::FaultPlan* plan)
+    : prefix_("gearsim-v" + std::to_string(kKeyFormatVersion) + "|" +
+              canonical_config(config) + "|workload="),
+      prefix_hash_(fnv1a(prefix_)),
+      fault_tail_("|" + canonical_fault_plan(plan)) {}
+
+CacheKey PointKeyer::key(std::string_view workload_signature, int nodes,
+                         std::size_t gear_index, int rep,
+                         std::string_view policy_signature) const {
+  const std::string_view policy =
+      policy_signature.empty() ? std::string_view("none") : policy_signature;
   CacheKey key;
-  key.text = "gearsim-v" + std::to_string(kKeyFormatVersion) + "|" +
-             canonical_config(config) + "|workload=" +
-             std::string(workload_signature) + "|nodes=" +
-             std::to_string(nodes) + "|gear=" + std::to_string(gear_index) +
-             "|policy=" +
-             (policy_signature.empty() ? "none"
-                                       : std::string(policy_signature)) +
-             "|rep=" + std::to_string(rep) + "|" +
-             canonical_fault_plan(plan);
-  key.hash = fnv1a(key.text);
+  std::string& s = key.text;
+  // 64 covers the three rendered integers and their labels.
+  s.reserve(prefix_.size() + workload_signature.size() + policy.size() +
+            fault_tail_.size() + 64);
+  s += prefix_;
+  s += workload_signature;
+  s += "|nodes=";
+  append_int(s, nodes);
+  s += "|gear=";
+  append_int(s, gear_index);
+  s += "|policy=";
+  s += policy;
+  s += "|rep=";
+  append_int(s, rep);
+  s += fault_tail_;
+  key.hash = util::fnv1a(std::string_view(s).substr(prefix_.size()),
+                         prefix_hash_);
   return key;
 }
 

@@ -75,4 +75,27 @@ struct CacheKey {
                                        const faults::FaultPlan* plan,
                                        std::string_view policy_signature = {});
 
+/// sweep_point_key for one fixed (config, fault plan), with both rendered
+/// once.  The key text is "gearsim-vN|<config>|workload=" + the point's
+/// suffix + "|<fault plan>"; the keyer stores that prefix, the FNV-1a
+/// state after it, and the fault-plan tail, so a key costs only its
+/// suffix: no config rendering and no rehash of the prefix.  Keys are
+/// byte-identical to sweep_point_key's (which builds a keyer per call).
+/// The plan must not change after construction.
+class PointKeyer {
+ public:
+  PointKeyer(const cluster::ClusterConfig& config,
+             const faults::FaultPlan* plan);
+
+  /// The key of one point; arguments as for sweep_point_key.
+  [[nodiscard]] CacheKey key(std::string_view workload_signature, int nodes,
+                             std::size_t gear_index, int rep,
+                             std::string_view policy_signature = {}) const;
+
+ private:
+  std::string prefix_;          ///< Through "|workload=".
+  std::uint64_t prefix_hash_;   ///< fnv1a(prefix_).
+  std::string fault_tail_;      ///< "|" + canonical_fault_plan(plan).
+};
+
 }  // namespace gearsim::exec

@@ -142,7 +142,9 @@ std::string SweepOutcome::report() const {
 }
 
 SweepRunner::SweepRunner(cluster::ClusterConfig config, SweepOptions options)
-    : config_(std::move(config)), options_(options) {
+    : config_(std::move(config)),
+      options_(options),
+      keyer_(config_.config(), options_.faults) {
   GEARSIM_REQUIRE(options_.max_attempts >= 1,
                   "sweep needs at least one attempt per point");
   GEARSIM_REQUIRE(options_.watchdog_seconds >= 0.0,
@@ -160,10 +162,14 @@ void SweepRunner::validate_point(const SweepPoint& p) const {
 }
 
 CacheKey SweepRunner::point_key(const SweepPoint& p) const {
-  return sweep_point_key(
-      config_.config(), p.workload->signature(), p.nodes, p.gear_index, p.rep,
-      options_.faults,
-      p.policy != nullptr ? p.policy->signature() : std::string());
+  return point_key(p, p.workload->signature());
+}
+
+CacheKey SweepRunner::point_key(const SweepPoint& p,
+                                std::string_view workload_signature) const {
+  return keyer_.key(workload_signature, p.nodes, p.gear_index, p.rep,
+                    p.policy != nullptr ? std::string_view(p.policy->signature())
+                                        : std::string_view());
 }
 
 cluster::RunResult SweepRunner::simulate_point(
@@ -199,7 +205,7 @@ std::vector<cluster::RunResult> SweepRunner::run(
   // simulation time (or cache traffic) is spent.
   for (const SweepPoint& p : points) validate_point(p);
   std::exception_ptr first_error;
-  SweepOutcome outcome = execute(points, &first_error);
+  SweepOutcome outcome = execute(points, nullptr, &first_error);
   // Every point has drained (and its result is cached); surface the
   // failure a serial loop would have hit first.
   if (first_error) std::rethrow_exception(first_error);
@@ -211,10 +217,18 @@ std::vector<cluster::RunResult> SweepRunner::run(
 
 SweepOutcome SweepRunner::run_isolated(
     const std::vector<SweepPoint>& points) const {
-  return execute(points, nullptr);
+  return execute(points, nullptr, nullptr);
+}
+
+SweepOutcome SweepRunner::run_misses(const std::vector<SweepPoint>& points,
+                                     const std::vector<CacheKey>& keys) const {
+  GEARSIM_REQUIRE(keys.size() == points.size(),
+                  "run_misses needs one key per point");
+  return execute(points, &keys, nullptr);
 }
 
 SweepOutcome SweepRunner::execute(const std::vector<SweepPoint>& points,
+                                  const std::vector<CacheKey>* missed_keys,
                                   std::exception_ptr* first_error) const {
   const std::size_t n = points.size();
   ResultCache* const cache = options_.cache;
@@ -225,24 +239,38 @@ SweepOutcome SweepRunner::execute(const std::vector<SweepPoint>& points,
   SweepOutcome outcome;
   outcome.results.resize(n);
   std::vector<JobState> jobs(n);
-  std::vector<CacheKey> keys(cache != nullptr ? n : 0);
+  // run_misses' caller validated and probed the points already, under
+  // `missed_keys`; otherwise the keys are built here, one per point.
+  const bool probe = missed_keys == nullptr;
+  std::vector<CacheKey> own_keys(probe && cache != nullptr ? n : 0);
+  const std::vector<CacheKey>& keys = probe ? own_keys : *missed_keys;
   std::vector<std::size_t> pending;
   pending.reserve(n);
 
   // Steps 1 and 2, calling thread: validate each point (a bad point fails
   // alone) and probe the cache.
+  const cluster::Workload* signed_workload = nullptr;
+  std::string signature;
   for (std::size_t i = 0; i < n; ++i) {
-    try {
-      validate_point(points[i]);
-    } catch (const std::exception& e) {
-      jobs[i].error = e.what();
-      jobs[i].eptr = std::current_exception();
-      continue;
+    const SweepPoint& p = points[i];
+    if (probe) {
+      try {
+        validate_point(p);
+      } catch (const std::exception& e) {
+        jobs[i].error = e.what();
+        jobs[i].eptr = std::current_exception();
+        continue;
+      }
     }
     jobs[i].valid = true;
-    if (cache != nullptr) {
-      keys[i] = point_key(points[i]);
-      if (auto hit = cache->lookup(keys[i])) {
+    if (probe && cache != nullptr) {
+      // Sweeps list many points of one workload: sign it once.
+      if (p.workload != signed_workload) {
+        signature = p.workload->signature();
+        signed_workload = p.workload;
+      }
+      own_keys[i] = point_key(p, signature);
+      if (auto hit = cache->lookup(own_keys[i])) {
         outcome.results[i] = std::move(*hit);
         jobs[i].cache_hit = true;
         continue;

@@ -15,19 +15,21 @@
 // simulated — by this process or, with a disk store, by any earlier
 // one.  See docs/EXECUTOR.md.
 //
-// Both entry points share one per-point loop: validate, probe the cache,
-// run the attempt/retry loop under exception isolation, then fold results
-// and metrics in request order.  A failure — thrown by the simulation,
-// the cache, or a failpoint — is caught, classified (transient vs
-// permanent), retried up to SweepOptions::max_attempts times when
-// transient, and recorded as a JobFailure; no failure stops the other
-// points.  run_isolated() returns every completed result plus the
-// failure report.  run() validates the whole list first, finishes every
-// point, then rethrows the lowest-index failure's exception.  A per-point
-// wall-clock watchdog flags (never kills) points slower than
-// SweepOptions::watchdog_seconds.  Failpoints in util/failpoint.hpp key
-// off the point index, so failure schedules replay exactly under any
-// worker count.  See docs/RESILIENCE.md.
+// The entry points share one per-point loop: validate, probe the cache,
+// run the attempt/retry loop under exception isolation, then fold
+// results and metrics in request order.  A failure — thrown by the
+// simulation, the cache, or a failpoint — is caught, classified
+// (transient vs permanent), retried up to SweepOptions::max_attempts
+// times when transient, and recorded as a JobFailure; no failure stops
+// the other points.  run_isolated() returns every completed result plus
+// the failure report; run_misses() does the same for points its caller
+// has validated and probed already, skipping those two steps.  run()
+// validates the whole list first, finishes every point, then rethrows
+// the lowest-index failure's exception.  A per-point wall-clock watchdog
+// flags (never kills) points slower than SweepOptions::watchdog_seconds.
+// Failpoints in util/failpoint.hpp key off the point index, so failure
+// schedules replay exactly under any worker count.  See
+// docs/RESILIENCE.md.
 #pragma once
 
 #include <cstddef>
@@ -36,6 +38,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/dvfs.hpp"
@@ -131,7 +134,9 @@ struct SweepOptions {
   int jobs = 0;
   /// Optional result cache; null = simulate every point.  Not owned.
   ResultCache* cache = nullptr;
-  /// Optional fault plan applied to every point (must outlive the call).
+  /// Optional fault plan applied to every point.  It must outlive the
+  /// runner and not change after the runner is built: the runner renders
+  /// it into its cache keys once, at construction.
   const faults::FaultPlan* faults = nullptr;
   /// Optional metrics registry (not owned; must outlive the call).  Each
   /// simulated point gets a private registry (workers never touch this
@@ -174,6 +179,14 @@ class SweepRunner {
   [[nodiscard]] SweepOutcome run_isolated(
       const std::vector<SweepPoint>& points) const;
 
+  /// run_isolated for points the caller has already validated and found
+  /// missing from the cache under `keys` (index-aligned, from point_key):
+  /// no validation and no probe; each result is inserted under its key.
+  /// The daemon's leader path, which probes and claims every key itself.
+  [[nodiscard]] SweepOutcome run_misses(
+      const std::vector<SweepPoint>& points,
+      const std::vector<CacheKey>& keys) const;
+
   /// All gears at one node count, fastest first (the paper's energy-time
   /// curve).  Equivalent to ExperimentRunner::gear_sweep plus caching and
   /// fan-out.
@@ -196,18 +209,27 @@ class SweepRunner {
   void validate_point(const SweepPoint& p) const;
 
   /// The point's content-addressed cache key (full config + workload
-  /// signature + coordinates + fault plan + policy identity).  The point
+  /// signature + coordinates + fault plan + policy identity), equal to
+  /// sweep_point_key's.  The config and fault plan were rendered once at
+  /// construction, so this builds only the point's suffix.  The point
   /// must be valid.
   [[nodiscard]] CacheKey point_key(const SweepPoint& p) const;
+  /// The same, with the point's p.workload->signature() passed in, for
+  /// callers keying many points of one workload.
+  [[nodiscard]] CacheKey point_key(const SweepPoint& p,
+                                   std::string_view workload_signature) const;
 
   /// Cache statistics (zeroes when no cache is attached).
   [[nodiscard]] CacheStats cache_stats() const;
 
  private:
-  /// The shared per-point loop behind run() and run_isolated().  When
-  /// `first_error` is non-null it receives the lowest-index failure's
-  /// exception (null when every point completed).
+  /// The shared per-point loop behind run(), run_isolated() and
+  /// run_misses().  `missed_keys` is null, or run_misses' keys: then the
+  /// validation and probe steps are skipped.  When `first_error` is
+  /// non-null it receives the lowest-index failure's exception (null
+  /// when every point completed).
   SweepOutcome execute(const std::vector<SweepPoint>& points,
+                       const std::vector<CacheKey>* missed_keys,
                        std::exception_ptr* first_error) const;
 
   /// Simulate one validated point into `point_metrics` (may be null).
@@ -217,6 +239,7 @@ class SweepRunner {
 
   cluster::ExperimentRunner config_;
   SweepOptions options_;
+  PointKeyer keyer_;  ///< Over config_ and options_.faults.
 };
 
 }  // namespace gearsim::exec

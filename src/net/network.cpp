@@ -45,7 +45,13 @@ Network::Network(NetworkParams params, std::size_t num_nodes)
                   "negative or non-finite jitter");
   topology_ =
       Topology::make(params_.topology, num_nodes, params_.link_bandwidth);
-  if (topology_ != nullptr) link_sched_.resize(topology_->link_count());
+  if (topology_ != nullptr) {
+    link_capacity_.resize(topology_->link_count());
+    for (std::size_t l = 0; l < link_capacity_.size(); ++l) {
+      link_capacity_[l] = topology_->link_capacity(static_cast<LinkId>(l));
+    }
+    link_sched_.resize(topology_->link_count());
+  }
 }
 
 void Network::set_metrics(obs::MetricsRegistry* metrics) {
@@ -177,20 +183,24 @@ Seconds Network::routed_transfer(std::size_t src, std::size_t dst, Bytes bytes,
   // arrive with non-decreasing `now` — dispatch is time-ordered — so
   // events at or before `now` can never matter again.
   const std::size_t links = path_scratch_.size();
-  cursor_scratch_.assign(links, 0);
+  cursor_scratch_.resize(links);
   count_scratch_.resize(links);
   for (std::size_t i = 0; i < links; ++i) {
     LinkSchedule& sched = link_sched_[path_scratch_[i]];
-    std::size_t done = 0;
-    while (done < sched.events.size() && sched.events[done].time <= now) {
-      sched.active += sched.events[done].delta;
-      ++done;
+    std::vector<LinkFlowEvent>& events = sched.events;
+    while (sched.head < events.size() && events[sched.head].time <= now) {
+      sched.active += events[sched.head].delta;
+      ++sched.head;
     }
-    if (done > 0) {
-      sched.events.erase(sched.events.begin(),
-                         sched.events.begin() +
-                             static_cast<std::ptrdiff_t>(done));
+    if (sched.head == events.size()) {
+      events.clear();
+      sched.head = 0;
+    } else if (sched.head > events.size() / 2) {
+      events.erase(events.begin(),
+                   events.begin() + static_cast<std::ptrdiff_t>(sched.head));
+      sched.head = 0;
     }
+    cursor_scratch_[i] = sched.head;
     count_scratch_[i] = sched.active;
   }
 
@@ -208,7 +218,7 @@ Seconds Network::routed_transfer(std::size_t src, std::size_t dst, Bytes bytes,
   for (;;) {
     double rate = std::numeric_limits<double>::infinity();
     for (std::size_t i = 0; i < links; ++i) {
-      rate = std::min(rate, topology_->link_capacity(path_scratch_[i]) /
+      rate = std::min(rate, link_capacity_[path_scratch_[i]] /
                                 static_cast<double>(count_scratch_[i] + 1));
     }
     Seconds boundary = seconds(std::numeric_limits<double>::infinity());
@@ -237,10 +247,12 @@ Seconds Network::routed_transfer(std::size_t src, std::size_t dst, Bytes bytes,
 
   // Commit this flow's [now, t) occupancy on every crossed link.
   for (std::size_t i = 0; i < links; ++i) {
-    std::vector<LinkFlowEvent>& events = link_sched_[path_scratch_[i]].events;
-    const auto insert_at = [&events](Seconds time, int delta) {
+    LinkSchedule& sched = link_sched_[path_scratch_[i]];
+    std::vector<LinkFlowEvent>& events = sched.events;
+    const auto insert_at = [&sched, &events](Seconds time, int delta) {
       const auto pos = std::upper_bound(
-          events.begin(), events.end(), time,
+          events.begin() + static_cast<std::ptrdiff_t>(sched.head),
+          events.end(), time,
           [](Seconds v, const LinkFlowEvent& e) { return v < e.time; });
       events.insert(pos, LinkFlowEvent{time, delta});
     };

@@ -163,9 +163,13 @@ class Network {
     int delta = 0;
   };
   /// Per-link fair-share state: `active` flows as of the last prune,
-  /// plus the committed future count changes, sorted by time.
+  /// plus the committed count changes, sorted by time.  Events before
+  /// `head` are settled (already folded into `active`); they are dropped
+  /// in bulk once they pass half the vector, or all at once when it
+  /// drains, instead of being erased from the front on every prune.
   struct LinkSchedule {
     int active = 0;
+    std::size_t head = 0;
     std::vector<LinkFlowEvent> events;
   };
 
@@ -184,6 +188,8 @@ class Network {
   Seconds backplane_free_{};
   Rng jitter_rng_;
   std::unique_ptr<Topology> topology_;
+  /// Topology::link_capacity per LinkId, copied once at construction.
+  std::vector<double> link_capacity_;
   std::vector<LinkSchedule> link_sched_;
   std::vector<LinkId> path_scratch_;
   std::vector<std::size_t> cursor_scratch_;

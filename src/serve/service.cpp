@@ -102,10 +102,19 @@ std::vector<cluster::RunResult> Service::run_points(
   // error and must fail before any claim or admission side effect.
   for (const exec::SweepPoint& p : points) runner.validate_point(p);
 
+  // One key per point, built once: every point of a query shares its
+  // workload, so the workload is signed once too.
   const std::size_t n = points.size();
   std::vector<exec::CacheKey> keys;
   keys.reserve(n);
-  for (const exec::SweepPoint& p : points) keys.push_back(runner.point_key(p));
+  if (n > 0) {
+    const std::string signature = points.front().workload->signature();
+    for (const exec::SweepPoint& p : points) {
+      GEARSIM_REQUIRE(p.workload == points.front().workload,
+                      "one query, one workload");
+      keys.push_back(runner.point_key(p, signature));
+    }
+  }
 
   std::vector<std::optional<cluster::RunResult>> results(n);
   std::vector<std::size_t> pending(n);
@@ -125,14 +134,23 @@ std::vector<cluster::RunResult> Service::run_points(
     std::vector<Claim> followers;
     for (const std::size_t idx : pending) {
       if (auto hit = cache_.lookup(keys[idx])) {
-        outer_hits_.fetch_add(1, std::memory_order_relaxed);
         results[idx] = std::move(*hit);
         continue;
       }
-      outer_misses_.fetch_add(1, std::memory_order_relaxed);
       exec::InflightTable::Ticket ticket = inflight_.claim(keys[idx].text);
-      (ticket.leader ? leaders : followers)
-          .push_back(Claim{idx, std::move(ticket)});
+      if (!ticket.leader) {
+        followers.push_back(Claim{idx, std::move(ticket)});
+        continue;
+      }
+      // Another query's leader may have inserted and published this key
+      // between the probe above and the claim: look again before
+      // simulating, or the point would run twice.
+      if (auto hit = cache_.lookup(keys[idx])) {
+        inflight_.publish(keys[idx].text, ticket, *hit);
+        results[idx] = std::move(*hit);
+        continue;
+      }
+      leaders.push_back(Claim{idx, std::move(ticket)});
     }
     pending.clear();
 
@@ -146,11 +164,17 @@ std::vector<cluster::RunResult> Service::run_points(
         throw RejectedError(options_.retry_after_ms);
       }
       std::vector<exec::SweepPoint> batch;
+      std::vector<exec::CacheKey> batch_keys;
       batch.reserve(leaders.size());
-      for (const Claim& c : leaders) batch.push_back(points[c.index]);
+      batch_keys.reserve(leaders.size());
+      for (const Claim& c : leaders) {
+        batch.push_back(points[c.index]);
+        batch_keys.push_back(keys[c.index]);
+      }
+      simulations_.fetch_add(batch.size(), std::memory_order_relaxed);
       exec::SweepOutcome outcome;
       try {
-        outcome = runner.run_isolated(batch);
+        outcome = runner.run_misses(batch, batch_keys);
       } catch (...) {
         for (const Claim& c : leaders) {
           inflight_.fail(keys[c.index].text, c.ticket,
@@ -307,14 +331,7 @@ std::string Service::handle_line(const std::string& line) {
 }
 
 std::uint64_t Service::simulations() const {
-  // Every service-level probe of a missing key counts one cache miss
-  // (outer_misses_) and every point the sweep runner dispatches counts
-  // exactly one more (its cache probe; retries never re-probe).
-  // The difference is therefore the number of points that reached the
-  // simulator — the exactly-once invariant the soak test asserts.
-  const std::uint64_t total = cache_.stats().misses;
-  const std::uint64_t outer = outer_misses_.load(std::memory_order_relaxed);
-  return total > outer ? total - outer : 0;
+  return simulations_.load(std::memory_order_relaxed);
 }
 
 std::string Service::stats_response() {
@@ -350,11 +367,7 @@ std::string Service::stats_response() {
     out += metrics_.snapshot().to_json(obs::Domain::kWall);
   }
   out += ",\"service\":{";
-  out += "\"outer_hits\":" +
-         u64(outer_hits_.load(std::memory_order_relaxed));
-  out += ",\"outer_misses\":" +
-         u64(outer_misses_.load(std::memory_order_relaxed));
-  out += ",\"simulations\":" + u64(simulations());
+  out += "\"simulations\":" + u64(simulations());
   out += "},\"shards\":[";
   if (!options_.cache.disk_dir.empty()) {
     const exec::StoreStats stats = exec::store_stats(options_.cache.disk_dir);

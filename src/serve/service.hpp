@@ -18,9 +18,11 @@
 //    the same bytes (tests diff them against a cold `gearsim sweep`).
 //
 // Thread-safe: handle_line may be called from any number of connection
-// threads.  Misses run through exec::SweepRunner::run_isolated, so a
-// poisoned point fails its own query with a structured error instead of
-// taking the daemon down.  See docs/SERVICE.md.
+// threads.  Each point's cache key is built once per query; leaders
+// re-probe the cache after claiming, then hand their misses to
+// exec::SweepRunner::run_misses under those keys, so a poisoned point
+// fails its own query with a structured error instead of taking the
+// daemon down.  See docs/SERVICE.md.
 #pragma once
 
 #include <atomic>
@@ -122,10 +124,10 @@ class Service {
     return shutdown_.load(std::memory_order_acquire);
   }
 
-  /// Exact number of simulations executed since construction: total
-  /// cache misses minus the service's own pre-claim probes.  The dedup
-  /// invariant under test: N concurrent identical queries leave this at
-  /// one batch's worth.
+  /// Exact number of points handed to the simulator since construction
+  /// (retries of a point do not count again).  The dedup invariant
+  /// under test: N concurrent identical queries leave this at one
+  /// batch's worth.
   [[nodiscard]] std::uint64_t simulations() const;
 
   [[nodiscard]] exec::ResultCache& cache() { return cache_; }
@@ -162,8 +164,8 @@ class Service {
   std::mutex runners_mutex_;
   std::map<std::string, std::unique_ptr<exec::SweepRunner>> runners_;
 
-  std::atomic<std::uint64_t> outer_hits_{0};
-  std::atomic<std::uint64_t> outer_misses_{0};
+  /// Points handed to the simulator (see simulations()).
+  std::atomic<std::uint64_t> simulations_{0};
 
   /// MetricsRegistry is not thread-safe; all access goes through
   /// metrics_mutex_.  Wall domain only — the service has no sim-domain

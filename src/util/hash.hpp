@@ -26,9 +26,11 @@ inline constexpr std::uint64_t kFnv1aPrime = 0x100000001b3ULL;
   return h;
 }
 
-/// FNV-1a 64-bit hash of a byte string.
-[[nodiscard]] constexpr std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = kFnv1aOffset;
+/// FNV-1a 64-bit hash of a byte string.  The hash streams: passing the
+/// hash of a prefix as `h` continues it, so fnv1a(b, fnv1a(a)) equals
+/// the hash of a followed by b.
+[[nodiscard]] constexpr std::uint64_t fnv1a(std::string_view bytes,
+                                            std::uint64_t h = kFnv1aOffset) {
   for (const char c : bytes) {
     h ^= static_cast<unsigned char>(c);
     h *= kFnv1aPrime;

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -27,7 +28,10 @@
 #include "exec/result_io.hpp"
 #include "exec/store.hpp"
 #include "exec/sweep_runner.hpp"
+#include "faults/fault_plan.hpp"
+#include "net/topology.hpp"
 #include "obs/metrics.hpp"
+#include "policy/evaluator.hpp"
 #include "util/failpoint.hpp"
 #include "workloads/jacobi.hpp"
 #include "workloads/registry.hpp"
@@ -109,6 +113,105 @@ TEST(CacheKeyTest, HexIsStable) {
   CacheKey k;
   k.hash = 0xcbf29ce484222325ULL;
   EXPECT_EQ(k.hex(), "cbf29ce484222325");
+}
+
+/// The crash-plus-link-fault plan the pinned keys and the keyer
+/// equivalence test share.
+faults::FaultPlan crash_and_link_plan() {
+  faults::FaultPlan plan(11);
+  plan.crash(1, seconds(0.5));
+  net::LinkFaultWindow w;
+  w.src = 0;
+  w.dst = 2;
+  w.from = seconds(0.1);
+  w.until = seconds(0.4);
+  w.loss_probability = 0.25;
+  w.latency_factor = 3.0;
+  plan.degrade_link(w);
+  return plan;
+}
+
+TEST(CacheKeyTest, PinnedKeysAreStable) {
+  // Literals from the key layout before keys were built from a cached
+  // prefix; they name on-disk store files, so they must never move
+  // without a kKeyFormatVersion bump.
+  const cluster::ClusterConfig athlon = cluster::athlon_cluster();
+  const std::string cg = workloads::make_workload("CG")->signature();
+  const auto expect_key = [](const CacheKey& key, const char* hex,
+                             std::size_t size) {
+    EXPECT_EQ(key.hex(), hex);
+    EXPECT_EQ(key.text.size(), size);
+    EXPECT_EQ(key.hash, fnv1a(key.text));
+  };
+  // CG on 4 athlon nodes at gear_index 2, reps 0 and 1.
+  expect_key(sweep_point_key(athlon, cg, 4, 2, 0, nullptr),
+             "12d345009394a6cd", 682);
+  expect_key(sweep_point_key(athlon, cg, 4, 2, 1, nullptr),
+             "5c401b1cff8e0e46", 682);
+  // The same point on a routed fat tree.
+  cluster::ClusterConfig fat = athlon;
+  cluster::install_topology(&fat,
+                            net::parse_topology("fat-tree:16,16:1,2:1,4"));
+  expect_key(sweep_point_key(fat, cg, 4, 2, 0, nullptr), "eaf0faf03d3f6606",
+             710);
+  // Under a crash plus a lossy, slow link.
+  const faults::FaultPlan plan = crash_and_link_plan();
+  expect_key(sweep_point_key(athlon, cg, 4, 2, 0, &plan), "7fda89dd626949b5",
+             820);
+  // A comm-downshift policy point.
+  const cluster::PolicyFactory comm(
+      [](int) { return std::make_unique<cluster::CommDownshift>(0, 5); });
+  expect_key(sweep_point_key(athlon, cg, 4, 0, 0, nullptr, comm.signature()),
+             "2f43ba5112a1e93a", 710);
+}
+
+TEST(CacheKeyTest, RunnerKeysEqualSweepPointKeys) {
+  // SweepRunner::point_key continues a cached prefix; it must produce
+  // sweep_point_key's text and hash for every config, plan, policy and
+  // repetition the runner can be asked for.
+  const auto cg = workloads::make_workload("CG");
+  const std::string signature = cg->signature();
+  const faults::FaultPlan empty;
+  const faults::FaultPlan populated = crash_and_link_plan();
+  const std::vector<const faults::FaultPlan*> plans = {nullptr, &empty,
+                                                       &populated};
+  std::size_t checked = 0;
+  for (const char* preset : {"athlon", "sun", "xeon"}) {
+    const cluster::ClusterConfig base = cluster::cluster_by_name(preset);
+    // Every policy the daemon races, derived from this preset's curve.
+    const std::vector<cluster::RunResult> statics =
+        SweepRunner(base).gear_sweep(*cg, 4);
+    const std::vector<policy::RosterEntry> roster = policy::policy_roster(
+        base, statics, policy::PolicyEvaluator::Options{});
+    std::vector<const cluster::PolicyFactory*> policies = {nullptr};
+    for (const policy::RosterEntry& entry : roster) {
+      policies.push_back(&entry.factory);
+    }
+    for (const char* spec :
+         {"flat", "fat-tree:16,16:1,2:1,4", "torus:4x4x4"}) {
+      cluster::ClusterConfig config = base;
+      cluster::install_topology(&config, net::parse_topology(spec));
+      for (const faults::FaultPlan* plan : plans) {
+        SweepOptions options;
+        options.faults = plan;
+        const SweepRunner runner(config, options);
+        for (const cluster::PolicyFactory* policy : policies) {
+          for (const int rep : {0, 3}) {
+            const SweepPoint p{cg.get(), 4, 1, rep, policy};
+            const CacheKey expected = sweep_point_key(
+                config, signature, p.nodes, p.gear_index, p.rep, plan,
+                policy != nullptr ? policy->signature() : std::string());
+            const CacheKey got = runner.point_key(p);
+            ASSERT_EQ(got.text, expected.text) << preset << " " << spec;
+            ASSERT_EQ(got.hash, expected.hash) << preset << " " << spec;
+            EXPECT_EQ(runner.point_key(p, signature).text, expected.text);
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 3u * 3u * 3u * 5u * 2u);
 }
 
 // ---- result JSON codec ------------------------------------------------------

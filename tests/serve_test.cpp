@@ -24,6 +24,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -480,6 +481,35 @@ TEST(ServiceTest, ConcurrentIdenticalQueriesCoalesceOntoOneLeader) {
   for (const std::string& r : responses) EXPECT_EQ(r, responses[0]);
   EXPECT_EQ(service.simulations(), 6u);
   EXPECT_GT(service.inflight_stats().coalesced, 0u);
+}
+
+TEST(ServiceTest, StaggeredIdenticalQueriesSimulateEachPointOnce) {
+  // Identical sweeps arriving a little apart: some probe the cache just
+  // before another query's leader inserts and publishes, then claim just
+  // after, and must find the result on the leader's re-probe instead of
+  // simulating it again.  Fresh services, so every round starts cold.
+  const Request q = jacobi_sweep();
+  const std::string line = render_request(q);
+  const std::string expected = sweep_response(q, cold_sweep(q));
+  std::mt19937 rng(2005);
+  std::uniform_int_distribution<int> offset_us(0, 3000);
+  for (int round = 0; round < 12; ++round) {
+    Service service(memory_only_options());
+    std::vector<int> offsets(8);
+    for (int& o : offsets) o = offset_us(rng);
+    std::vector<std::string> responses(offsets.size());
+    std::vector<std::thread> threads;
+    threads.reserve(offsets.size());
+    for (std::size_t t = 0; t < offsets.size(); ++t) {
+      threads.emplace_back([&, t] {
+        std::this_thread::sleep_for(std::chrono::microseconds(offsets[t]));
+        responses[t] = service.handle_line(line);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (const std::string& r : responses) EXPECT_EQ(r, expected);
+    EXPECT_EQ(service.simulations(), 6u) << "round " << round;
+  }
 }
 
 // ---- hot / cold / quarantine byte identity ----------------------------------
