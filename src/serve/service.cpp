@@ -61,11 +61,7 @@ AdmissionGate::Stats AdmissionGate::stats() const {
 
 Service::Service(ServiceOptions options)
     : options_(std::move(options)),
-      cache_([this] {
-        exec::ResultCache::Options c = options_.cache;
-        c.metrics = nullptr;  // See ServiceOptions::cache.
-        return c;
-      }()),
+      cache_(options_.cache),
       gate_(options_.admission),
       metrics_(options_.wall_profile) {
   if (options_.preload) cache_.preload();

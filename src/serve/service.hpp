@@ -92,9 +92,7 @@ class AdmissionGate {
 
 struct ServiceOptions {
   /// Cache configuration (disk_dir, shard_digits, shard_entry_budget,
-  /// capacity).  The metrics slot is cleared: the cache would record
-  /// from simulation threads outside the service's metrics mutex, and
-  /// its integrity counters are served from CacheStats anyway.
+  /// capacity); its integrity counters are served from CacheStats.
   exec::ResultCache::Options cache;
   /// Warm-start the memory tier from the disk store at construction.
   bool preload = false;

@@ -81,6 +81,7 @@
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
+#include "util/assert.hpp"
 #include "util/json.hpp"
 #include "util/statistics.hpp"
 #include "util/table.hpp"
@@ -99,9 +100,29 @@ struct Args {
     const auto it = options.find(key);
     return it != options.end() ? it->second : fallback;
   }
+  /// The whole token must be an integer: "4x" is an error, not 4.
   [[nodiscard]] int get_int(const std::string& key, int fallback) const {
     const auto it = options.find(key);
-    return it != options.end() ? std::stoi(it->second) : fallback;
+    if (it == options.end()) return fallback;
+    std::size_t used = 0;
+    int value = 0;
+    try {
+      value = std::stoi(it->second, &used);
+    } catch (const std::exception&) {
+      used = 0;
+    }
+    GEARSIM_REQUIRE(used > 0 && used == it->second.size(),
+                    "--" + key + " takes an integer, got '" + it->second +
+                        "'");
+    return value;
+  }
+  /// A size or count: an integer that must not be negative.
+  [[nodiscard]] std::size_t get_size(const std::string& key,
+                                     std::size_t fallback) const {
+    const int value = get_int(key, static_cast<int>(fallback));
+    GEARSIM_REQUIRE(value >= 0, "--" + key + " must not be negative, got " +
+                                    std::to_string(value));
+    return static_cast<std::size_t>(value);
   }
   [[nodiscard]] bool has(const std::string& key) const {
     return options.count(key) > 0;
@@ -825,18 +846,14 @@ int cmd_serve(const Args& args) {
   // shutdown request arrives.  See docs/SERVICE.md.
   serve::ServiceOptions options;
   options.cache.disk_dir = args.get("cache", "");
-  options.cache.capacity =
-      static_cast<std::size_t>(args.get_int("capacity", 4096));
+  options.cache.capacity = args.get_size("capacity", 4096);
   options.cache.shard_digits = args.get_int("shard-digits", 2);
-  options.cache.shard_entry_budget =
-      static_cast<std::size_t>(args.get_int("shard-budget", 0));
+  options.cache.shard_entry_budget = args.get_size("shard-budget", 0);
   options.preload = args.has("preload");
   options.jobs = args.get_int("jobs", 0);
   options.retries = args.get_int("retries", 0);
-  options.admission.admit =
-      static_cast<std::size_t>(args.get_int("admit", 64));
-  options.admission.queue =
-      static_cast<std::size_t>(args.get_int("queue", 256));
+  options.admission.admit = args.get_size("admit", 64);
+  options.admission.queue = args.get_size("queue", 256);
   options.retry_after_ms = args.get_int("retry-after-ms", 250);
   options.wall_profile = args.has("wall-profile");
 
