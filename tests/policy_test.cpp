@@ -456,6 +456,102 @@ TEST(PolicyCacheKey, RosterSignaturesArePinned) {
                 "park_timeout=0.00050000000000000001,alpha=0.5}"}));
 }
 
+// --- sim-domain metrics --------------------------------------------------------
+
+TEST(PolicyMetrics, SimDomainIsPinned) {
+  // The sim domain of two sweeps' registries, byte for byte: the engine's,
+  // the network's, the cluster's, the fault layer's and the adaptive
+  // policies' counters.  The first sweep runs Jacobi on 4 nodes through
+  // the policy roster (timeout-downshift and slack-reclaimer count their
+  // decisions); the second runs CG's static gears on a routed torus with
+  // a lossy link and one crash with no checkpoint policy, which aborts
+  // the slower gears' runs.
+  const cluster::ClusterConfig config = cluster::athlon_cluster();
+  const auto jacobi = workloads::make_workload("Jacobi");
+  const std::vector<RosterEntry> roster = policy_roster(
+      config, cluster::ExperimentRunner(config).gear_sweep(*jacobi, 4),
+      PolicyEvaluator::Options{});
+  std::vector<exec::SweepPoint> policy_points;
+  for (const RosterEntry& entry : roster) {
+    policy_points.push_back(
+        exec::SweepPoint{jacobi.get(), 4, 0, 0, &entry.factory});
+  }
+  obs::MetricsRegistry policy_metrics;
+  exec::SweepOptions policy_options;
+  policy_options.jobs = 1;
+  policy_options.metrics = &policy_metrics;
+  EXPECT_EQ(exec::SweepRunner(config, policy_options).run(policy_points).size(),
+            roster.size());
+  EXPECT_EQ(policy_metrics.snapshot().to_json(obs::Domain::kSim),
+            "{\"cluster.gear_switches\":{\"kind\":\"counter\",\"count\":7573},"
+            "\"cluster.mpi_calls\":{\"kind\":\"counter\",\"count\":6720},"
+            "\"cluster.runs\":{\"kind\":\"counter\",\"count\":4},"
+            "\"exec.cache.evictions\":{\"kind\":\"counter\",\"count\":0},"
+            "\"exec.supervisor.failures\":{\"kind\":\"counter\",\"count\":0},"
+            "\"exec.supervisor.jobs\":{\"kind\":\"counter\",\"count\":4},"
+            "\"exec.supervisor.retries\":{\"kind\":\"counter\",\"count\":0},"
+            "\"exec.sweep.points\":{\"kind\":\"counter\",\"count\":4},"
+            "\"net.bytes\":{\"kind\":\"counter\",\"count\":314576640},"
+            "\"net.messages\":{\"kind\":\"counter\",\"count\":5280},"
+            "\"net.retransmissions\":{\"kind\":\"counter\",\"count\":0},"
+            "\"policy.downshifts\":{\"kind\":\"counter\",\"count\":4},"
+            "\"policy.hysteresis_votes\":{\"kind\":\"counter\",\"count\":8},"
+            "\"policy.over_budget_backoffs\":{\"kind\":\"counter\",\"count\":0},"
+            "\"policy.predictive_parks\":{\"kind\":\"counter\",\"count\":2506},"
+            "\"policy.upshifts\":{\"kind\":\"counter\",\"count\":0},"
+            "\"sim.engine.events_dispatched\":{\"kind\":\"counter\",\"count\":31749},"
+            "\"sim.engine.pool.fallback_allocs\":{\"kind\":\"counter\",\"count\":0},"
+            "\"sim.engine.pool.inline_events\":{\"kind\":\"counter\",\"count\":31749},"
+            "\"sim.engine.processes_spawned\":{\"kind\":\"counter\",\"count\":16},"
+            "\"sim.engine.queue_high_water\":{\"kind\":\"gauge_max\",\"value\":5}}");
+
+  cluster::ClusterConfig routed = config;
+  routed.network.topology = net::parse_topology("torus:2x2");
+  const auto cg = workloads::make_workload("CG");
+  faults::FaultPlan plan(11);
+  net::LinkFaultWindow lossy;
+  lossy.src = 1;
+  lossy.loss_probability = 0.3;
+  plan.degrade_link(lossy);
+  plan.crash(2, seconds(34.5));
+  obs::MetricsRegistry fault_metrics;
+  exec::SweepOptions fault_options;
+  fault_options.jobs = 1;
+  fault_options.faults = &plan;
+  fault_options.metrics = &fault_metrics;
+  const std::vector<cluster::RunResult> runs =
+      exec::SweepRunner(routed, fault_options).gear_sweep(*cg, 4);
+  // The crash at 34.5 s falls between gear 4's and gear 5's solid walls
+  // (32.1 s at gear 1 to 38.9 s at gear 6): gears 1-4 finish, 5 and 6
+  // are aborted.
+  ASSERT_EQ(runs.size(), 6u);
+  for (std::size_t g = 0; g < runs.size(); ++g) {
+    EXPECT_EQ(runs[g].outcome, g < 4 ? cluster::RunOutcome::kCompleted
+                                     : cluster::RunOutcome::kFailed)
+        << g;
+    EXPECT_GT(runs[g].retransmissions, 0u) << g;
+  }
+  EXPECT_EQ(fault_metrics.snapshot().to_json(obs::Domain::kSim),
+            "{\"cluster.gear_switches\":{\"kind\":\"counter\",\"count\":0},"
+            "\"cluster.mpi_calls\":{\"kind\":\"counter\",\"count\":1752},"
+            "\"cluster.runs\":{\"kind\":\"counter\",\"count\":6},"
+            "\"exec.cache.evictions\":{\"kind\":\"counter\",\"count\":0},"
+            "\"exec.supervisor.failures\":{\"kind\":\"counter\",\"count\":0},"
+            "\"exec.supervisor.jobs\":{\"kind\":\"counter\",\"count\":6},"
+            "\"exec.supervisor.retries\":{\"kind\":\"counter\",\"count\":0},"
+            "\"exec.sweep.points\":{\"kind\":\"counter\",\"count\":6},"
+            "\"faults.crashes\":{\"kind\":\"counter\",\"count\":2},"
+            "\"faults.link_drop_bursts\":{\"kind\":\"counter\",\"count\":235},"
+            "\"net.bytes\":{\"kind\":\"counter\",\"count\":430585536},"
+            "\"net.messages\":{\"kind\":\"counter\",\"count\":3504},"
+            "\"net.retransmissions\":{\"kind\":\"counter\",\"count\":334},"
+            "\"sim.engine.events_dispatched\":{\"kind\":\"counter\",\"count\":14585},"
+            "\"sim.engine.pool.fallback_allocs\":{\"kind\":\"counter\",\"count\":0},"
+            "\"sim.engine.pool.inline_events\":{\"kind\":\"counter\",\"count\":14593},"
+            "\"sim.engine.processes_spawned\":{\"kind\":\"counter\",\"count\":24},"
+            "\"sim.engine.queue_high_water\":{\"kind\":\"gauge_max\",\"value\":7}}");
+}
+
 // --- straggler cap precedence --------------------------------------------------
 
 /// Whole-run straggler caps on every node: no node may run faster than
