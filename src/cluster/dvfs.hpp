@@ -30,7 +30,6 @@
 
 #include "cluster/experiment.hpp"
 #include "mpi/types.hpp"
-#include "obs/metrics.hpp"
 
 namespace gearsim::cluster {
 
@@ -85,17 +84,10 @@ class GearPolicy {
                                 Bytes /*bytes*/, Seconds /*now*/,
                                 Seconds /*waited*/) {}
 
-  /// Attach a metrics registry for the upcoming run (nullptr detaches).
-  /// The runner calls this before begin_run(); controllers fetch their
-  /// counters there.  Decisions never depend on the registry, so an
-  /// instrumented run is bit-identical to an uninstrumented one.
-  void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
-
- protected:
-  [[nodiscard]] obs::MetricsRegistry* metrics() const { return metrics_; }
-
- private:
-  obs::MetricsRegistry* metrics_ = nullptr;
+  /// Add this run's decision counts to `metrics` as sim-domain counters.
+  /// The runner calls it once after a run that returns a result, when a
+  /// registry is attached.  Default: nothing to publish.
+  virtual void publish(obs::MetricsRegistry& /*metrics*/) const {}
 };
 
 /// Creates one fresh policy instance per run — how policies travel

@@ -112,12 +112,8 @@ RunResult ExperimentRunner::run(const Workload& workload, int nodes,
                           " nodes)");
   }
   // Reset any per-run controller state before the first gear query; for
-  // static policies this is a no-op (or a rank-count check).  Metrics are
-  // attached first so begin_run can register the policy's counters.
-  if (policy != nullptr) {
-    policy->set_metrics(options.metrics);
-    policy->begin_run(nodes);
-  }
+  // static policies this is a no-op (or a rank-count check).
+  if (policy != nullptr) policy->begin_run(nodes);
   const std::size_t gear_index =
       policy != nullptr ? policy->compute_gear(0) : options.gear_index;
   GEARSIM_REQUIRE(gear_index < config_.gears.size(), "gear out of range");
@@ -129,8 +125,6 @@ RunResult ExperimentRunner::run(const Workload& workload, int nodes,
 
   sim::Engine engine;
   net::Network network(config_.network, static_cast<std::size_t>(nodes));
-  engine.set_metrics(options.metrics);
-  network.set_metrics(options.metrics);
   mpi::World world(engine, network, nodes, config_.mpi);
   // The breakdown folds online as calls exit; the record store exists only
   // when a trace export asks for it.  Neither observer changes the time
@@ -369,6 +363,20 @@ RunResult ExperimentRunner::run(const Workload& workload, int nodes,
     }
   }
   if (obs::MetricsRegistry* reg = options.metrics) {
+    // Every layer counts natively; the registry reads the totals here,
+    // once, after a completed or a crash-aborted run alike.
+    reg->counter("sim.engine.events_dispatched").add(engine.events_executed());
+    reg->counter("sim.engine.processes_spawned").add(engine.process_count());
+    reg->gauge("sim.engine.queue_high_water")
+        .set(static_cast<double>(engine.queue_high_water()));
+    reg->counter("sim.engine.pool.inline_events")
+        .add(engine.pool_inline_events());
+    reg->counter("sim.engine.pool.fallback_allocs")
+        .add(engine.pool_fallback_allocs());
+    reg->counter("net.messages").add(result.messages);
+    reg->counter("net.bytes").add(result.net_bytes);
+    reg->counter("net.retransmissions").add(result.retransmissions);
+    if (policy != nullptr) policy->publish(*reg);
     reg->counter("cluster.runs").add();
     reg->counter("cluster.mpi_calls").add(result.mpi_calls);
     reg->counter("cluster.gear_switches").add(result.gear_switches);

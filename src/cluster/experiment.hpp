@@ -128,12 +128,15 @@ struct RunOptions {
   /// call).  Null — or a plan with nothing scheduled — leaves the run
   /// bit-identical to a fault-free one.  See docs/FAULTS.md.
   const faults::FaultPlan* faults = nullptr;
-  /// Optional metrics registry (must outlive the call).  The runner wires
-  /// it into the engine, network, policy and fault layers for this run;
-  /// all recorded values are sim-domain facts, so attaching a registry
-  /// never changes the RunResult.  One registry must not be shared by
-  /// concurrent runs — exec::SweepRunner gives each point its own and
-  /// merges the snapshots in request order.  See docs/OBSERVABILITY.md.
+  /// Optional metrics registry (must outlive the call).  The engine,
+  /// network and policy count natively; the runner publishes their totals
+  /// and its own cluster/fault counts here once, after a run that returns
+  /// a RunResult (completed or crash-aborted).  A run that throws
+  /// publishes nothing.  All values are sim-domain facts, so attaching a
+  /// registry never changes the RunResult.  One registry must not be
+  /// shared by concurrent runs — exec::SweepRunner gives each point its
+  /// own and merges the snapshots in request order.  See
+  /// docs/OBSERVABILITY.md.
   obs::MetricsRegistry* metrics = nullptr;
   /// Ignored: every run executes on the serial engine.  Kept so existing
   /// callers that set it still compile.

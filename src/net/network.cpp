@@ -54,18 +54,6 @@ Network::Network(NetworkParams params, std::size_t num_nodes)
   }
 }
 
-void Network::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    m_messages_ = nullptr;
-    m_bytes_ = nullptr;
-    m_retransmissions_ = nullptr;
-    return;
-  }
-  m_messages_ = &metrics->counter("net.messages");
-  m_bytes_ = &metrics->counter("net.bytes");
-  m_retransmissions_ = &metrics->counter("net.retransmissions");
-}
-
 Seconds Network::uncontended_time(Bytes bytes) const {
   return params_.latency +
          seconds(static_cast<double>(bytes) / params_.link_bandwidth);
@@ -132,9 +120,6 @@ Seconds Network::latency_realization(std::size_t src, std::size_t dst,
     }
     if (losses > 0) {
       retransmissions_ += static_cast<std::uint64_t>(losses);
-      if (m_retransmissions_ != nullptr) {
-        m_retransmissions_->add(static_cast<std::uint64_t>(losses));
-      }
       if (on_retransmit_) on_retransmit_(src, dst, now, losses, penalty);
     }
     lat = lat * spike + penalty;
@@ -149,8 +134,6 @@ Seconds Network::transfer(std::size_t src, std::size_t dst, Bytes bytes,
   GEARSIM_REQUIRE(src != dst, "self-transfer does not use the network");
   ++messages_;
   bytes_ += bytes;
-  if (m_messages_ != nullptr) m_messages_->add();
-  if (m_bytes_ != nullptr) m_bytes_->add(bytes);
 
   if (topology_ != nullptr) return routed_transfer(src, dst, bytes, now);
 

@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "net/topology.hpp"
-#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 #include "util/random.hpp"
 #include "util/units.hpp"
@@ -152,10 +151,6 @@ class Network {
                                             int, Seconds)>;
   void set_retransmit_hook(RetransmitHook hook) { on_retransmit_ = std::move(hook); }
 
-  /// Attach a metrics registry (nullptr detaches): messages/bytes carried
-  /// and retransmissions performed, all deterministic sim-domain counts.
-  void set_metrics(obs::MetricsRegistry* metrics);
-
  private:
   /// One committed flow-count change on a link (+1 arrival, -1 finish).
   struct LinkFlowEvent {
@@ -205,9 +200,6 @@ class Network {
   std::vector<std::uint64_t> fault_seq_;
   std::uint64_t retransmissions_ = 0;
   RetransmitHook on_retransmit_;
-  obs::Counter* m_messages_ = nullptr;
-  obs::Counter* m_bytes_ = nullptr;
-  obs::Counter* m_retransmissions_ = nullptr;
 };
 
 }  // namespace gearsim::net

@@ -16,10 +16,11 @@
 //    never read, so the baseline run is bit-identical to a build without
 //    the instrumentation.  Never part of the deterministic manifest core.
 //
-// Instrumented layers hold plain pointers obtained once at setup
-// (`Counter* c = reg ? &reg->counter("...") : nullptr`), so the hot-path
-// cost is one branch when observability is off and one add when on.
-// Handles are stable for the registry's lifetime (node-based storage).
+// The simulation layers (engine, network, policies) count natively and
+// never see a registry; cluster::ExperimentRunner::run publishes their
+// totals into the run's registry once, after a run that returns a
+// result.  A run that throws publishes nothing.  Handles are stable for
+// the registry's lifetime (node-based storage).
 #pragma once
 
 #include <chrono>

@@ -105,13 +105,6 @@ class RuntimeController : public cluster::GearPolicy {
   std::vector<std::size_t> compute_gears_;
   std::vector<std::size_t> comm_gears_;
 
-  /// Sim-domain counter handle from the attached registry, or nullptr
-  /// when no registry is attached.  Fetch in reset(); counters survive
-  /// for the registry's lifetime, the handles only for this run.
-  [[nodiscard]] obs::Counter* policy_counter(std::string_view name) const {
-    return metrics() != nullptr ? &metrics()->counter(name) : nullptr;
-  }
-
  private:
   std::size_t initial_gear_;
   std::vector<trace::IterationClock> clocks_;

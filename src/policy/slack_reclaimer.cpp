@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "cluster/workload.hpp"
+#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 
 namespace gearsim::policy {
@@ -47,11 +48,15 @@ std::string SlackReclaimer::signature() const {
 void SlackReclaimer::reset(int nprocs) {
   predictor_.reset(nprocs);
   state_.assign(static_cast<std::size_t>(nprocs), RankState{});
-  m_parks_ = policy_counter("policy.predictive_parks");
-  m_votes_ = policy_counter("policy.hysteresis_votes");
-  m_downshifts_ = policy_counter("policy.downshifts");
-  m_upshifts_ = policy_counter("policy.upshifts");
-  m_backoffs_ = policy_counter("policy.over_budget_backoffs");
+  parks_ = votes_ = downshifts_ = upshifts_ = backoffs_ = 0;
+}
+
+void SlackReclaimer::publish(obs::MetricsRegistry& metrics) const {
+  metrics.counter("policy.predictive_parks").add(parks_);
+  metrics.counter("policy.hysteresis_votes").add(votes_);
+  metrics.counter("policy.downshifts").add(downshifts_);
+  metrics.counter("policy.upshifts").add(upshifts_);
+  metrics.counter("policy.over_budget_backoffs").add(backoffs_);
 }
 
 void SlackReclaimer::observe_blocking_enter(int rank, mpi::CallType type,
@@ -62,7 +67,7 @@ void SlackReclaimer::observe_blocking_enter(int rank, mpi::CallType type,
     const double predicted = predictor_.predict(rank, type, bytes);
     if (predicted > params_.park_timeout.value()) {
       comm = std::max(comm, params_.gear_slowdowns.size() - 1);
-      if (m_parks_ != nullptr) m_parks_->add();
+      ++parks_;
     }
   }
   comm_gears_[r] = comm;
@@ -108,7 +113,7 @@ void SlackReclaimer::on_iteration_end(int rank, Seconds now) {
     s.gear_cap = gear - 1;
     compute_gears_[r] = gear - 1;
     s.down_votes = 0;
-    if (m_backoffs_ != nullptr) m_backoffs_->add();
+    ++backoffs_;
     return;
   }
 
@@ -139,11 +144,11 @@ void SlackReclaimer::on_iteration_end(int rank, Seconds now) {
     // and no further than the most conservative of their asks.
     s.down_target = s.down_votes == 0 ? target : std::min(s.down_target,
                                                           target);
-    if (m_votes_ != nullptr) m_votes_->add();
+    ++votes_;
     if (++s.down_votes >= params_.hysteresis) {
       compute_gears_[r] = s.down_target;
       s.down_votes = 0;
-      if (m_downshifts_ != nullptr) m_downshifts_->add();
+      ++downshifts_;
     }
   } else {
     s.down_votes = 0;
@@ -151,7 +156,7 @@ void SlackReclaimer::on_iteration_end(int rank, Seconds now) {
     // stretching the critical path while hysteresis counts.
     if (target < gear) {
       compute_gears_[r] = target;
-      if (m_upshifts_ != nullptr) m_upshifts_->add();
+      ++upshifts_;
     }
   }
 }

@@ -37,6 +37,7 @@
 // another rank's) is surrendered once and never re-taken.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,7 @@ class SlackReclaimer final : public RuntimeController {
 
   [[nodiscard]] std::string name() const override { return "slack-reclaimer"; }
   [[nodiscard]] std::string signature() const override;
+  void publish(obs::MetricsRegistry& metrics) const override;
 
  protected:
   void reset(int nprocs) override;
@@ -108,12 +110,12 @@ class SlackReclaimer final : public RuntimeController {
   Params params_;
   WaitPredictor predictor_;
   std::vector<RankState> state_;
-  // Counter handles (null without a registry), refreshed in reset().
-  obs::Counter* m_parks_ = nullptr;
-  obs::Counter* m_votes_ = nullptr;
-  obs::Counter* m_downshifts_ = nullptr;
-  obs::Counter* m_upshifts_ = nullptr;
-  obs::Counter* m_backoffs_ = nullptr;
+  // This run's decision counts, zeroed in reset().
+  std::uint64_t parks_ = 0;
+  std::uint64_t votes_ = 0;
+  std::uint64_t downshifts_ = 0;
+  std::uint64_t upshifts_ = 0;
+  std::uint64_t backoffs_ = 0;
 };
 
 }  // namespace gearsim::policy

@@ -1,6 +1,7 @@
 #include "policy/timeout_downshift.hpp"
 
 #include "cluster/workload.hpp"
+#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 
 namespace gearsim::policy {
@@ -24,7 +25,11 @@ std::string TimeoutDownshift::signature() const {
 
 void TimeoutDownshift::reset(int nprocs) {
   predictor_.reset(nprocs);
-  m_parks_ = policy_counter("policy.predictive_parks");
+  parks_ = 0;
+}
+
+void TimeoutDownshift::publish(obs::MetricsRegistry& metrics) const {
+  metrics.counter("policy.predictive_parks").add(parks_);
 }
 
 void TimeoutDownshift::observe_blocking_enter(int rank, mpi::CallType type,
@@ -33,7 +38,7 @@ void TimeoutDownshift::observe_blocking_enter(int rank, mpi::CallType type,
   const bool park = predicted > params_.timeout.value();
   comm_gears_[static_cast<std::size_t>(rank)] =
       park ? params_.park_gear : params_.compute_gear;
-  if (park && m_parks_ != nullptr) m_parks_->add();
+  if (park) ++parks_;
 }
 
 void TimeoutDownshift::observe_blocking_exit(int rank, mpi::CallType type,

@@ -13,6 +13,7 @@
 // sub-timeout calls untouched).
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "policy/controller.hpp"
@@ -40,6 +41,7 @@ class TimeoutDownshift final : public RuntimeController {
     return "timeout-downshift";
   }
   [[nodiscard]] std::string signature() const override;
+  void publish(obs::MetricsRegistry& metrics) const override;
 
  protected:
   void reset(int nprocs) override;
@@ -51,7 +53,7 @@ class TimeoutDownshift final : public RuntimeController {
  private:
   Params params_;
   WaitPredictor predictor_;
-  obs::Counter* m_parks_ = nullptr;  ///< Refreshed in reset().
+  std::uint64_t parks_ = 0;  ///< This run's parks, zeroed in reset().
 };
 
 }  // namespace gearsim::policy

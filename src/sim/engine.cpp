@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -103,22 +104,6 @@ void Process::terminate() {
 
 Engine::~Engine() { terminate_processes(); }
 
-void Engine::set_metrics(obs::MetricsRegistry* metrics) {
-  if (metrics == nullptr) {
-    m_events_ = nullptr;
-    m_spawned_ = nullptr;
-    m_queue_high_water_ = nullptr;
-    m_pool_inline_ = nullptr;
-    m_pool_fallback_ = nullptr;
-    return;
-  }
-  m_events_ = &metrics->counter("sim.engine.events_dispatched");
-  m_spawned_ = &metrics->counter("sim.engine.processes_spawned");
-  m_queue_high_water_ = &metrics->gauge("sim.engine.queue_high_water");
-  m_pool_inline_ = &metrics->counter("sim.engine.pool.inline_events");
-  m_pool_fallback_ = &metrics->counter("sim.engine.pool.fallback_allocs");
-}
-
 void Engine::terminate_processes() {
   // Unwind the process stacks first — their stack destructors may
   // schedule or reference nothing, but they must not observe a
@@ -139,9 +124,7 @@ void Engine::schedule_at(Seconds t, EventFn fn) {
   GEARSIM_REQUIRE(t >= now_, "event scheduled in the past");
   count_pool_path(fn.on_heap());
   queue_.push(t, std::move(fn));
-  if (m_queue_high_water_ != nullptr) {
-    m_queue_high_water_->set(static_cast<double>(queue_.size()));
-  }
+  queue_high_water_ = std::max(queue_high_water_, queue_.size());
 }
 
 void Engine::schedule_after(Seconds dt, EventFn fn) {
@@ -152,10 +135,8 @@ void Engine::schedule_after(Seconds dt, EventFn fn) {
 void Engine::count_pool_path(bool on_heap) {
   if (on_heap) {
     ++pool_fallback_allocs_;
-    if (m_pool_fallback_ != nullptr) m_pool_fallback_->add();
   } else {
     ++pool_inline_events_;
-    if (m_pool_inline_ != nullptr) m_pool_inline_->add();
   }
 }
 
@@ -166,7 +147,6 @@ Process& Engine::spawn(std::string name, std::function<void(Process&)> body) {
   ref.state_ = Process::State::kReady;
   schedule_at(now_, [&ref] { ref.resume(); });
   processes_.push_back(std::move(proc));
-  if (m_spawned_ != nullptr) m_spawned_->add();
   return ref;
 }
 
@@ -179,7 +159,6 @@ void Engine::begin_event(Seconds time, std::uint64_t seq) {
   order_hash_ =
       util::fnv1a_mix(order_hash_, std::bit_cast<std::uint64_t>(time.value()));
   order_hash_ = util::fnv1a_mix(order_hash_, seq);
-  if (m_events_ != nullptr) m_events_->add();
 }
 
 void Engine::dispatch_one() {
@@ -197,9 +176,7 @@ bool Engine::resume_in_place(Seconds t) {
   if (!queue_.empty() && !(t < queue_.next_time())) return false;
   const std::uint64_t seq = queue_.consume_seq(t);
   count_pool_path(false);  // The resume callable is one pointer: inline.
-  if (m_queue_high_water_ != nullptr) {
-    m_queue_high_water_->set(static_cast<double>(queue_.size() + 1));
-  }
+  queue_high_water_ = std::max(queue_high_water_, queue_.size() + 1);
   begin_event(t, seq);
   return true;
 }

@@ -19,7 +19,7 @@
 // resumes in place, with no queue entry and no fiber switch.  It is
 // still a dispatched event in every observable respect: it takes the
 // sequence number a push would have taken, counts toward
-// events_executed(), the pool and queue-high-water metrics, and folds
+// events_executed(), the pool counters and queue_high_water(), and folds
 // into order_hash() exactly as dispatching it would have.  A delay that
 // ties with a pending event goes through the queue.
 //
@@ -41,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/fiber.hpp"
 #include "util/assert.hpp"
@@ -188,11 +187,11 @@ class Engine {
     return pool_fallback_allocs_;
   }
 
-  /// Attach a metrics registry (nullptr detaches).  The engine then
-  /// reports events dispatched, processes spawned and the event-queue
-  /// high-water mark — all sim-domain facts, so attaching a registry
-  /// never perturbs simulation results.
-  void set_metrics(obs::MetricsRegistry* metrics);
+  /// Most events ever pending at once, counting a fast-path resume as
+  /// the one queued event it stands for.
+  [[nodiscard]] std::size_t queue_high_water() const {
+    return queue_high_water_;
+  }
 
  private:
   friend class Process;
@@ -216,14 +215,10 @@ class Engine {
   std::uint64_t order_hash_ = util::kFnv1aOffset;
   std::uint64_t pool_inline_events_ = 0;
   std::uint64_t pool_fallback_allocs_ = 0;
+  std::size_t queue_high_water_ = 0;
   bool running_ = false;
   /// Latest event time the active run()/run_until() may dispatch.
   Seconds horizon_{0.0};
-  obs::Counter* m_events_ = nullptr;
-  obs::Counter* m_spawned_ = nullptr;
-  obs::Gauge* m_queue_high_water_ = nullptr;
-  obs::Counter* m_pool_inline_ = nullptr;
-  obs::Counter* m_pool_fallback_ = nullptr;
 };
 
 }  // namespace gearsim::sim

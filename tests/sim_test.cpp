@@ -477,8 +477,8 @@ TEST(Process, StateTransitions) {
 //
 // A delay whose wakeup is strictly the next event resumes in place, with
 // no queue entry and no fiber switch.  Everything observable must match
-// the queued path: hashes, counters, metrics, termination and
-// error behaviour.
+// the queued path: hashes, counters, the queue high-water mark,
+// termination and error behaviour.
 
 /// What a run leaves behind that the fast path must not change.
 struct RunPrint {
@@ -486,22 +486,18 @@ struct RunPrint {
   std::uint64_t events = 0;
   std::uint64_t inline_events = 0;
   double now = 0.0;
-  double queue_high_water = 0.0;
-  std::uint64_t dispatched_metric = 0;
-  std::uint64_t inline_metric = 0;
+  std::size_t queue_high_water = 0;
 
   bool operator==(const RunPrint&) const = default;
 };
 
-RunPrint print_of(const Engine& e, obs::MetricsRegistry& reg) {
+RunPrint print_of(const Engine& e) {
   RunPrint out;
   out.order_hash = e.order_hash();
   out.events = e.events_executed();
   out.inline_events = e.pool_inline_events();
   out.now = e.now().value();
-  out.queue_high_water = reg.gauge("sim.engine.queue_high_water").value();
-  out.dispatched_metric = reg.counter("sim.engine.events_dispatched").value();
-  out.inline_metric = reg.counter("sim.engine.pool.inline_events").value();
+  out.queue_high_water = e.queue_high_water();
   return out;
 }
 
@@ -514,8 +510,6 @@ TEST(DelayFastPath, ProcessChainsMatchScheduledCallbacks) {
   RunPrint as_processes;
   {
     Engine e;
-    obs::MetricsRegistry reg;
-    e.set_metrics(&reg);
     for (const std::vector<double>& chain : kChains) {
       e.spawn("chain", [&chain](Process& p) {
         for (const double d : chain) p.delay(seconds(d));
@@ -524,13 +518,11 @@ TEST(DelayFastPath, ProcessChainsMatchScheduledCallbacks) {
     e.schedule_at(seconds(2.5), [] {});
     e.schedule_at(seconds(6.5), [] {});
     e.run();
-    as_processes = print_of(e, reg);
+    as_processes = print_of(e);
   }
   RunPrint as_callbacks;
   {
     Engine e;
-    obs::MetricsRegistry reg;
-    e.set_metrics(&reg);
     struct Chain {
       Engine* engine;
       const std::vector<double>* delays;
@@ -552,12 +544,12 @@ TEST(DelayFastPath, ProcessChainsMatchScheduledCallbacks) {
     e.schedule_at(seconds(2.5), [] {});
     e.schedule_at(seconds(6.5), [] {});
     e.run();
-    as_callbacks = print_of(e, reg);
+    as_callbacks = print_of(e);
   }
   EXPECT_EQ(as_processes, as_callbacks);
   EXPECT_EQ(as_processes.events, 13u);
-  EXPECT_GT(as_processes.queue_high_water, 0.0);
-  EXPECT_EQ(as_processes.inline_metric, as_processes.events);
+  EXPECT_GT(as_processes.queue_high_water, 0u);
+  EXPECT_EQ(as_processes.inline_events, as_processes.events);
 }
 
 TEST(DelayFastPath, DelayTyingWithAPendingEventStaysFifo) {

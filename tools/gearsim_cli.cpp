@@ -421,6 +421,8 @@ int cmd_sweep(const Args& args) {
   const auto workload = workloads::make_workload(args.get("workload", "CG"));
   const int nodes = args.get_int("nodes", 4);
   const int repeat = args.get_int("repeat", 1);
+  GEARSIM_REQUIRE(repeat >= 1, "--repeat must be at least 1, got " +
+                                   std::to_string(repeat));
   MetricsSink sink(args, "gearsim sweep");
   exec::SweepOptions options;
   const auto cache = make_sweep_options(args, &options);
@@ -854,7 +856,8 @@ int cmd_serve(const Args& args) {
   options.retries = args.get_int("retries", 0);
   options.admission.admit = args.get_size("admit", 64);
   options.admission.queue = args.get_size("queue", 256);
-  options.retry_after_ms = args.get_int("retry-after-ms", 250);
+  options.retry_after_ms =
+      static_cast<int>(args.get_size("retry-after-ms", 250));
   options.wall_profile = args.has("wall-profile");
 
   serve::Service service(std::move(options));
