@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "util/random.hpp"
@@ -56,8 +58,13 @@ FaultPlan& FaultPlan::random_crashes(double per_node_rate_hz,
   GEARSIM_REQUIRE(std::isfinite(per_node_rate_hz) && per_node_rate_hz >= 0.0,
                   "failure rate must be non-negative and finite");
   GEARSIM_REQUIRE(nodes >= 1, "need at least one node");
-  GEARSIM_REQUIRE(horizon.value() > 0.0, "horizon must be positive");
+  GEARSIM_REQUIRE(std::isfinite(horizon.value()) && horizon.value() > 0.0,
+                  "horizon must be positive and finite");
   if (per_node_rate_hz == 0.0) return *this;
+  // Append in node-major order, then stable-sort by time: the order
+  // inserting each crash after every earlier-or-equal one would give,
+  // in O(n log n) instead of O(n^2).
+  std::vector<CrashEvent> drawn;
   const Rng base(seed_);
   for (std::size_t node = 0; node < nodes; ++node) {
     // One independent exponential inter-arrival stream per node.
@@ -68,9 +75,18 @@ FaultPlan& FaultPlan::random_crashes(double per_node_rate_hz,
       while (u <= 0.0) u = rng.uniform();
       t += -std::log(u) / per_node_rate_hz;
       if (t >= horizon.value()) break;
-      crash(node, seconds(t));
+      GEARSIM_REQUIRE(drawn.size() < kMaxRandomCrashes,
+                      "random crash plan exceeds " +
+                          std::to_string(kMaxRandomCrashes) +
+                          " crashes: lower the rate or the horizon");
+      drawn.push_back(CrashEvent{node, seconds(t)});
     }
   }
+  crashes_.insert(crashes_.end(), drawn.begin(), drawn.end());
+  std::stable_sort(crashes_.begin(), crashes_.end(),
+                   [](const CrashEvent& a, const CrashEvent& b) {
+                     return a.at < b.at;
+                   });
   return *this;
 }
 

@@ -76,10 +76,17 @@ class FaultPlan {
   FaultPlan& degrade_link(net::LinkFaultWindow window);
   FaultPlan& drop_meter(std::size_t node, Seconds from, Seconds until);
   FaultPlan& with_checkpointing(CheckpointConfig config);
+  /// Most crashes one random_crashes call may draw; past it the call
+  /// throws ContractError instead of building an unbounded plan.
+  static constexpr std::size_t kMaxRandomCrashes = 1'000'000;
+
   /// Draw crash times from independent per-node Poisson processes of rate
-  /// `per_node_rate_hz` over [0, horizon), seeded by this plan's seed.
-  /// The horizon must comfortably exceed the run's (restart-inflated)
-  /// wall time or late crashes are simply never realized.
+  /// `per_node_rate_hz` over [0, horizon), seeded by this plan's seed,
+  /// and merge them after any earlier crash at the same time.  The
+  /// horizon must be finite and comfortably exceed the run's
+  /// (restart-inflated) wall time or late crashes are simply never
+  /// realized.  Throws ContractError when more than kMaxRandomCrashes
+  /// would be drawn.
   FaultPlan& random_crashes(double per_node_rate_hz, std::size_t nodes,
                             Seconds horizon);
 

@@ -11,13 +11,18 @@
 // 600 pending; a fifth of its pushes tie with a pending event's time):
 //
 //   * A 4-ary min-heap of 16-byte keys.  A key is one unsigned 128-bit
-//     integer: the time's bit pattern in the high word and
-//     seq·2^24 | slot in the low word.  A finite non-negative double
-//     orders like its bit pattern (-0.0 is stored as +0.0), and slots
-//     only differ where sequences do, so one integer compare orders
-//     (time, seq), with no branch per field.  Picking the earliest of
-//     four siblings is a two-round tournament of such compares, which
-//     the compiler turns into flag arithmetic and conditional moves.
+//     integer: the time's bit pattern in the high word and, in the low
+//     word, a 39-bit seq, a 1-bit resume tag and a 24-bit target:
+//
+//         bits 63..25 seq | bit 24 resume | bits 23..0 slot or process
+//
+//     39 bits number 5.5e11 events per engine.  A finite non-negative
+//     double orders like its bit pattern (-0.0 is stored as +0.0), and
+//     the tag and target only differ where sequences do, so one integer
+//     compare orders (time, seq), with no branch per field.  Picking the
+//     earliest of four siblings is a two-round tournament of such
+//     compares, which the compiler turns into flag arithmetic and
+//     conditional moves.
 //   * Why not the calendar queue this heap replaced (epoch time bands, a
 //     sorted active band, insertion-sorted pushes below it): it mostly
 //     wins on uniformly random times without ties, but ties defeat it.
@@ -34,6 +39,13 @@
 //     runs).  The price is paid on the hold-model rows
 //     (queue_churn_depth_*, distinct random times): 12% slower at depth
 //     1e3, 1.4x at 1e4 and 2.3-2.5x at 1e6 and 1e7 (1e5 is faster).
+//   * Resume keys carry no callable.  A key with the resume tag set
+//     names an Engine process index in its target field, and the engine
+//     switches straight into that process when it pops the key.  Every
+//     Process::delay, wake and spawn queues one, so the commonest event
+//     builds, moves and destroys no EventFn.  The tag comes out of the
+//     sequence field, not the slot field: the slot field must still
+//     address 16.7M pooled callables (microbench_engine's depth-10M row).
 //   * Callables live in a slot pool (vector + free list) reused across
 //     events, so keys stay small and sift moves never touch a callable.
 //     After warm-up, push/pop churn allocates nothing (see
@@ -65,19 +77,32 @@ inline void validate_event_time(Seconds time) {
 
 class EventQueue {
  public:
-  /// One extracted event.  Extraction moves the callable out of the pool
-  /// *before* its slot is recycled, so no moved-from entry is ever left
-  /// inside a live container.
+  /// Process indices a resume key can name.
+  static constexpr std::size_t kMaxResumeTargets = std::size_t{1} << 24;
+
+  /// One extracted event: either a resume of process `process` (no
+  /// callable) or a callable.  Extraction moves the callable out of the
+  /// pool *before* its slot is recycled, so no moved-from entry is ever
+  /// left inside a live container.
   struct Popped {
     Seconds time;
     std::uint64_t seq = 0;
+    bool resume = false;
+    std::uint32_t process = 0;
     EventFn fn;
   };
 
   void push(Seconds time, EventFn&& fn) {
     const std::uint64_t seq = consume_seq(time);
     const std::uint32_t slot = acquire_slot(std::move(fn));
-    sift_up(make_key(time, (seq << kSlotBits) | slot));
+    sift_up(make_key(time, (seq << kSeqShift) | slot));
+  }
+
+  /// Queue a resume of process index `process` (< kMaxResumeTargets) at
+  /// `time`: same checks and sequence number as push(), no callable.
+  void push_resume(Seconds time, std::uint32_t process) {
+    const std::uint64_t seq = consume_seq(time);
+    sift_up(make_key(time, (seq << kSeqShift) | kResumeTag | process));
   }
 
   /// Run push()'s checks on an event at `time` and take the sequence
@@ -110,12 +135,21 @@ class EventQueue {
       sift_down(last);
       // The next pop's callable lives in a pool slot filled long ago —
       // start the (likely) cache miss now, under this event's execution.
-      __builtin_prefetch(&pool_[slot_of(heap_.front())]);
+      if (!is_resume(heap_.front())) {
+        __builtin_prefetch(&pool_[target_of(heap_.front())]);
+      }
     }
-    const std::uint32_t slot = slot_of(top);
-    Popped out{time_of(top), static_cast<std::uint64_t>(top) >> kSlotBits,
-               std::move(pool_[slot])};
-    free_slots_.push_back(slot);
+    Popped out;
+    out.time = time_of(top);
+    out.seq = static_cast<std::uint64_t>(top) >> kSeqShift;
+    const std::uint32_t target = target_of(top);
+    if (is_resume(top)) {
+      out.resume = true;
+      out.process = target;
+    } else {
+      out.fn = std::move(pool_[target]);
+      free_slots_.push_back(target);
+    }
     return out;
   }
 
@@ -139,9 +173,13 @@ class EventQueue {
   using Key = __uint128_t;
 
   static constexpr std::uint32_t kSlotBits = 24;  // <= 16.7M queued events
-  static constexpr std::uint32_t kSeqBits = 64 - kSlotBits;
+  static constexpr std::uint64_t kResumeTag = std::uint64_t{1} << kSlotBits;
+  static constexpr std::uint32_t kSeqShift = kSlotBits + 1;
+  static constexpr std::uint32_t kSeqBits = 64 - kSeqShift;
   static constexpr std::uint64_t kSlotMask =
       (std::uint64_t{1} << kSlotBits) - 1;
+  static_assert(kMaxResumeTargets == kSlotMask + 1,
+                "a resume key's target shares the slot field");
   static constexpr std::size_t kArity = 4;
 
   static Key make_key(Seconds time, std::uint64_t tag) {
@@ -153,9 +191,12 @@ class EventQueue {
   static Seconds time_of(Key k) {
     return Seconds{std::bit_cast<double>(static_cast<std::uint64_t>(k >> 64))};
   }
-  static std::uint32_t slot_of(Key k) {
+  static std::uint32_t target_of(Key k) {
     return static_cast<std::uint32_t>(static_cast<std::uint64_t>(k) &
                                       kSlotMask);
+  }
+  static bool is_resume(Key k) {
+    return (static_cast<std::uint64_t>(k) & kResumeTag) != 0;
   }
 
   std::uint32_t acquire_slot(EventFn&& fn) {

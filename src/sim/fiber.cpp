@@ -4,7 +4,9 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <new>
+#include <vector>
 
 #if !defined(__x86_64__)
 #error "gearsim fibers support x86-64 only: port gearsim_fiber_switch and gearsim_fiber_entry in src/sim/fiber.cpp"
@@ -26,6 +28,7 @@
 #endif
 
 #if defined(GEARSIM_FIBER_ASAN)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(GEARSIM_FIBER_TSAN)
@@ -145,18 +148,76 @@ void tsan_switch([[maybe_unused]] void* fiber) {
 #endif
 }
 
-}  // namespace
+constexpr std::size_t kMappingSize = kGuardSize + Fiber::kStackSize;
 
-Fiber::Fiber(Entry entry, void* arg) : entry_(entry), arg_(arg) {
-  mapping_ = ::mmap(nullptr, kGuardSize + kStackSize, PROT_READ | PROT_WRITE,
-                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
-                    -1, 0);
-  if (mapping_ == MAP_FAILED) throw std::bad_alloc();
-  if (::mprotect(mapping_, kGuardSize, PROT_NONE) != 0) {
-    ::munmap(mapping_, kGuardSize + kStackSize);
-    throw std::bad_alloc();
+/// Most stack mappings kept for reuse: enough for a 1024-rank run on each
+/// of four sweep workers.  A mapping freed beyond it is unmapped.
+constexpr std::size_t kMaxPooledStacks = 4096;
+
+/// Process-wide free list of stack mappings, so a run does not pay mmap,
+/// mprotect, first-touch faults and munmap for every process it spawns.
+/// A fiber may be built and destroyed on any thread (a sweep worker), so
+/// the list is locked; it is never destroyed, so a fiber that outlives
+/// static destruction can still return its stack.
+class StackPool {
+ public:
+  // Reserved up front, so give_back (called from ~Fiber) never allocates.
+  StackPool() { free_.reserve(kMaxPooledStacks); }
+
+  void* take() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (!free_.empty()) {
+        void* mapping = free_.back();
+        free_.pop_back();
+#if defined(GEARSIM_FIBER_ASAN)
+        // The previous fiber may have left poisoned frame redzones behind.
+        __asan_unpoison_memory_region(static_cast<char*>(mapping) + kGuardSize,
+                                      Fiber::kStackSize);
+#endif
+        return mapping;
+      }
+    }
+    return map_stack();
   }
 
+  void give_back(void* mapping) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (free_.size() < kMaxPooledStacks) {
+        free_.push_back(mapping);
+        return;
+      }
+    }
+    ::munmap(mapping, kMappingSize);
+  }
+
+ private:
+  static void* map_stack() {
+    void* mapping =
+        ::mmap(nullptr, kMappingSize, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    if (mapping == MAP_FAILED) throw std::bad_alloc();
+    if (::mprotect(mapping, kGuardSize, PROT_NONE) != 0) {
+      ::munmap(mapping, kMappingSize);
+      throw std::bad_alloc();
+    }
+    return mapping;
+  }
+
+  std::mutex mutex_;
+  std::vector<void*> free_;  // Guarded by mutex_.
+};
+
+StackPool& stack_pool() {
+  static StackPool* const pool = new StackPool;
+  return *pool;
+}
+
+}  // namespace
+
+Fiber::Fiber(Entry entry, void* arg)
+    : entry_(entry), arg_(arg), mapping_(stack_pool().take()) {
   // The first switch_in() pops this frame (see gearsim_fiber_switch) and
   // "returns" into gearsim_fiber_entry with r12 = this, r13 = enter and
   // rbp = 0, which ends frame-pointer walks.  Two padding words above the
@@ -182,7 +243,7 @@ Fiber::Fiber(Entry entry, void* arg) : entry_(entry), arg_(arg) {
 
 Fiber::~Fiber() {
   tsan_destroy(tsan_fiber_);
-  ::munmap(mapping_, kGuardSize + kStackSize);
+  stack_pool().give_back(mapping_);
 }
 
 void Fiber::switch_in() {

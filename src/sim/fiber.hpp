@@ -12,6 +12,14 @@
 //   - The stack is kStackSize bytes of MAP_NORESERVE memory above one
 //     PROT_NONE guard page, so an overflow faults instead of scribbling
 //     over a neighbour; pages are committed only as the fiber touches them.
+//   - Stacks are pooled.  ~Fiber returns its mapping to one process-wide,
+//     mutex-guarded free list (at most 4096 mappings; beyond that it
+//     unmaps), and a new Fiber takes the most recently returned one
+//     before it maps a fresh one.  The guard page is set once, when the
+//     mapping is made.  A pooled stack keeps the pages its last fiber
+//     touched, so the pool holds no more memory than the runs already
+//     used, and a run reusing it pays no mmap, mprotect, page faults or
+//     munmap.  Under ASAN a reused stack is unpoisoned first.
 //   - A fiber is resumed by whichever thread runs its engine, which need
 //     not be the thread that created it; that is safe because src/ has no
 //     thread_local state.
@@ -37,11 +45,12 @@ class Fiber {
   /// Usable stack bytes per fiber (the guard page comes on top).
   static constexpr std::size_t kStackSize = std::size_t{1} << 20;
 
-  /// Map the stack and prepare `entry(arg)` to run on the first
-  /// switch_in().  The fiber finishes when `entry` returns, which it must
-  /// do without throwing.
+  /// Take a stack from the pool (or map one) and prepare `entry(arg)` to
+  /// run on the first switch_in().  The fiber finishes when `entry`
+  /// returns, which it must do without throwing.
   Fiber(Entry entry, void* arg);
-  /// Unmap the stack.  The fiber must have finished or never started.
+  /// Return the stack to the pool.  The fiber must have finished or
+  /// never started.
   ~Fiber();
 
   Fiber(const Fiber&) = delete;

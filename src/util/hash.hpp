@@ -15,9 +15,24 @@ namespace gearsim::util {
 inline constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ULL;
 inline constexpr std::uint64_t kFnv1aPrime = 0x100000001b3ULL;
 
+/// kFnv1aPrime^5 (mod 2^64): folding five zero bytes multiplies by it.
+inline constexpr std::uint64_t kFnv1aPrime5 =
+    kFnv1aPrime * kFnv1aPrime * kFnv1aPrime * kFnv1aPrime * kFnv1aPrime;
+
 /// Fold the 8 bytes of `v` (little-endian order) into hash state `h`.
 [[nodiscard]] constexpr std::uint64_t fnv1a_mix(std::uint64_t h,
                                                 std::uint64_t v) {
+  if (v < (std::uint64_t{1} << 24)) {
+    // A zero byte's fold is (h ^ 0) * P = h * P, so the five zero high
+    // bytes collapse into one multiply.  The engine's per-event sequence
+    // numbers stay below 2^24 for the first 16.7M events of a run.
+    for (int i = 0; i < 3; ++i) {
+      h ^= v & 0xffU;
+      h *= kFnv1aPrime;
+      v >>= 8;
+    }
+    return h * kFnv1aPrime5;
+  }
   for (int i = 0; i < 8; ++i) {
     h ^= v & 0xffU;
     h *= kFnv1aPrime;

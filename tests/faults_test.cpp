@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <limits>
+#include <vector>
 
 #include "cluster/experiment.hpp"
 #include "faults/fault_plan.hpp"
@@ -137,6 +140,54 @@ TEST(FaultPlan, ZeroRateSchedulesNothing) {
   FaultPlan plan;
   plan.random_crashes(0.0, 4, seconds(100.0));
   EXPECT_TRUE(plan.crashes().empty());
+}
+
+TEST(FaultPlan, RandomCrashesKeepTheInsertionOrder) {
+  // The reference inserts the same draws one at a time, node by node,
+  // each after every crash at an earlier or equal time, which is how the
+  // plan was built before it sorted once.
+  FaultPlan drawn(77);
+  drawn.random_crashes(0.5, 6, seconds(40.0));
+  std::vector<CrashEvent> by_node = drawn.crashes();
+  ASSERT_GT(by_node.size(), 50u);
+  // A node's draws are strictly increasing, so this is the draw order.
+  std::sort(by_node.begin(), by_node.end(),
+            [](const CrashEvent& a, const CrashEvent& b) {
+              return a.node != b.node ? a.node < b.node : a.at < b.at;
+            });
+  // Earlier crashes, one of them tied with a draw, stay ahead of it.
+  const Seconds tie = by_node[by_node.size() / 2].at;
+  FaultPlan merged(77);
+  merged.crash(5, tie).crash(0, seconds(1e-3));
+  merged.random_crashes(0.5, 6, seconds(40.0));
+  FaultPlan reference(77);
+  reference.crash(5, tie).crash(0, seconds(1e-3));
+  for (const CrashEvent& ev : by_node) reference.crash(ev.node, ev.at);
+  ASSERT_EQ(merged.crashes().size(), reference.crashes().size());
+  for (std::size_t i = 0; i < merged.crashes().size(); ++i) {
+    EXPECT_EQ(merged.crashes()[i].node, reference.crashes()[i].node) << i;
+    EXPECT_EQ(merged.crashes()[i].at.value(),
+              reference.crashes()[i].at.value())
+        << i;
+  }
+}
+
+TEST(FaultPlan, HugeRandomCrashPlansFailFast) {
+  // 1e9 crashes per node-hour over 1 s on 4 nodes would draw about 1.1M
+  // crashes; the plan stops at its cap instead (quadratic inserts took
+  // over 20 s here).  An infinite horizon never ends a node's stream.
+  const auto start = std::chrono::steady_clock::now();
+  FaultPlan plan(42);
+  plan.crash(1, seconds(2.0));
+  EXPECT_THROW(plan.random_crashes(1e9 / 3600.0, 4, seconds(1.0)),
+               ContractError);
+  EXPECT_THROW(plan.random_crashes(
+                   1.0, 4, seconds(std::numeric_limits<double>::infinity())),
+               ContractError);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(30));
+  // A failed call leaves the plan as it was.
+  ASSERT_EQ(plan.crashes().size(), 1u);
+  EXPECT_EQ(plan.crashes()[0].node, 1u);
 }
 
 // --- EnergyProfile -----------------------------------------------------------

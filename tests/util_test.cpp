@@ -1,14 +1,17 @@
 // Unit tests for src/util: units, statistics, RNG, tables, CSV quoting,
-// and the failpoint registry.
+// the failpoint registry and the FNV-1a word fold.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/csv.hpp"
 #include "util/failpoint.hpp"
+#include "util/hash.hpp"
 #include "util/random.hpp"
 #include "util/statistics.hpp"
 #include "util/table.hpp"
@@ -16,6 +19,45 @@
 
 namespace gearsim {
 namespace {
+
+// --- FNV-1a word fold --------------------------------------------------------
+
+/// fnv1a_mix as a plain loop over all eight bytes, the reference its
+/// short path for small words must match.
+std::uint64_t mix_bytewise(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= v & 0xffU;
+    h *= util::kFnv1aPrime;
+    v >>= 8;
+  }
+  return h;
+}
+
+TEST(Fnv1aMix, MatchesTheByteLoopOnEitherSideOfTheShortPath) {
+  const std::uint64_t words[] = {0,
+                                 1,
+                                 (std::uint64_t{1} << 24) - 1,
+                                 std::uint64_t{1} << 24,
+                                 (std::uint64_t{1} << 39) - 1,
+                                 ~std::uint64_t{0}};
+  for (const std::uint64_t v : words) {
+    EXPECT_EQ(util::fnv1a_mix(util::kFnv1aOffset, v),
+              mix_bytewise(util::kFnv1aOffset, v))
+        << v;
+  }
+  Rng rng(2024);
+  std::uint64_t h = util::kFnv1aOffset;
+  std::uint64_t reference = h;
+  for (int i = 0; i < 10000; ++i) {
+    // Random words of every width, so half land below 2^24.
+    const std::uint64_t v = rng() >> rng.below(64);
+    h = util::fnv1a_mix(h, v);
+    reference = mix_bytewise(reference, v);
+    ASSERT_EQ(h, reference) << "word " << i << " = " << v;
+  }
+  static_assert(util::fnv1a_mix(util::kFnv1aOffset, 5) ==
+                util::fnv1a(std::string_view("\x05\0\0\0\0\0\0\0", 8)));
+}
 
 // --- units -------------------------------------------------------------------
 

@@ -55,6 +55,7 @@
 // docs/OBSERVABILITY.md.  --wall-profile additionally records wall-clock
 // profiling metrics in the manifest's (never-compared) wall section.
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -114,6 +115,22 @@ struct Args {
     GEARSIM_REQUIRE(used > 0 && used == it->second.size(),
                     "--" + key + " takes an integer, got '" + it->second +
                         "'");
+    return value;
+  }
+  /// The whole token must be a number ("nan" and "inf" parse; callers
+  /// bound them): "2x" and "abc" are errors naming the flag.
+  [[nodiscard]] double get_double(const std::string& key,
+                                  const std::string& fallback) const {
+    const std::string text = get(key, fallback);
+    std::size_t used = 0;
+    double value = 0.0;
+    try {
+      value = std::stod(text, &used);
+    } catch (const std::exception&) {
+      used = 0;
+    }
+    GEARSIM_REQUIRE(used > 0 && used == text.size(),
+                    "--" + key + " takes a number, got '" + text + "'");
     return value;
   }
   /// A size or count: an integer that must not be negative.
@@ -581,8 +598,18 @@ int cmd_faults(const Args& args) {
   const auto workload = workloads::make_workload(args.get("workload", "CG"));
   const int nodes = args.get_int("nodes", 4);
   const int gear = args.get_int("gear", 1);
-  const double rate_per_hour = std::stod(args.get("rate", "0"));
-  const double loss = std::stod(args.get("loss", "0"));
+  const double rate_per_hour = args.get_double("rate", "0");
+  GEARSIM_REQUIRE(std::isfinite(rate_per_hour) && rate_per_hour >= 0.0,
+                  "--rate must be finite and non-negative, got " +
+                      args.get("rate", "0"));
+  const double loss = args.get_double("loss", "0");
+  GEARSIM_REQUIRE(loss >= 0.0 && loss <= 1.0,
+                  "--loss must be in [0, 1], got " + args.get("loss", "0"));
+  const bool restart = !args.has("no-restart");
+  const double interval = restart ? args.get_double("interval", "30") : 0.0;
+  GEARSIM_REQUIRE(!restart || (std::isfinite(interval) && interval > 0.0),
+                  "--interval must be finite and positive, got " +
+                      args.get("interval", "30"));
   const auto seed =
       static_cast<std::uint64_t>(std::stoull(args.get("seed", "42")));
 
@@ -590,9 +617,12 @@ int cmd_faults(const Args& args) {
   // stretch the run well past it).
   const cluster::RunResult solid =
       runner.run(*workload, nodes, static_cast<std::size_t>(gear - 1));
-  const double horizon =
-      std::stod(args.get("horizon",
-                         std::to_string(50.0 * solid.wall.value())));
+  const std::string horizon_text =
+      args.get("horizon", std::to_string(50.0 * solid.wall.value()));
+  const double horizon = args.get_double("horizon", horizon_text);
+  GEARSIM_REQUIRE(std::isfinite(horizon) && horizon > 0.0,
+                  "--horizon must be finite and positive, got " +
+                      horizon_text);
 
   faults::FaultPlan plan(seed);
   if (rate_per_hour > 0.0) {
@@ -604,9 +634,9 @@ int cmd_faults(const Args& args) {
     window.loss_probability = loss;
     plan.degrade_link(window);
   }
-  if (!args.has("no-restart")) {
+  if (restart) {
     faults::CheckpointConfig ckpt;
-    ckpt.interval = seconds(std::stod(args.get("interval", "30")));
+    ckpt.interval = seconds(interval);
     plan.with_checkpointing(ckpt);
   }
 
